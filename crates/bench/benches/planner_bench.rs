@@ -1,6 +1,6 @@
 //! Criterion timing of the planning module: one full `plan()` per
-//! case-study site, per search algorithm (the planner-algorithm
-//! ablation's timing half).
+//! case-study site, for the unbounded oracle and the bounded exhaustive
+//! search, plus the bounded search on four worker threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_mail::spec::names::*;
@@ -25,9 +25,8 @@ fn bench_planning(c: &mut Criterion) {
             .origin(cs.mail_server)
             .require("TrustLevel", trust);
         for (name, algorithm) in [
+            ("oracle", Algorithm::Oracle),
             ("exhaustive", Algorithm::Exhaustive),
-            ("partial-order", Algorithm::PartialOrder),
-            ("auto", Algorithm::Auto),
         ] {
             let planner = Planner::with_config(
                 mail_spec(),
@@ -47,7 +46,7 @@ fn bench_planning(c: &mut Criterion) {
         }
         let planner = Planner::with_config(mail_spec(), PlannerConfig::default());
         group.bench_with_input(
-            BenchmarkId::new("auto-parallel4", site),
+            BenchmarkId::new("exhaustive-parallel4", site),
             &request,
             |b, request| {
                 b.iter(|| {

@@ -19,9 +19,9 @@
 #![warn(missing_docs)]
 
 use ps_net::{shortest_route, LinkId, Network, NodeId, PropertyTranslator};
-use ps_planner::{LoadModel, Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
+use ps_planner::{Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
-use ps_trace::Tracer;
+use ps_trace::{Tracer, WallTimer};
 use std::fmt;
 
 /// A detected change in the network.
@@ -343,6 +343,10 @@ impl Replanner {
     }
 
     /// Evaluates `old` under the (possibly changed) network and decides.
+    /// The old plan is revalidated under the planner's configured load
+    /// model, so it is judged by the same capacity rules as the fresh
+    /// plan. The fresh plan's host wall time goes to the tracer's
+    /// registry as the `replan.planning_wall_ms` histogram.
     pub fn evaluate<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
@@ -356,13 +360,16 @@ impl Replanner {
             net,
             translator,
             request,
-            LoadModel::Accumulated,
+            self.planner.config.load_model,
             self.planner.config.objective,
         );
         let assignment: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
         let still_valid = mapper.evaluate(&old.graph, &assignment);
 
+        let planning = WallTimer::start();
         let fresh = self.planner.plan(net, translator, request);
+        self.tracer
+            .observe("replan.planning_wall_ms", planning.elapsed_ms());
         match (still_valid, fresh) {
             (Some(current), Ok(better)) => {
                 if current.objective_value <= better.objective_value * self.degradation_factor {
@@ -498,5 +505,48 @@ mod tests {
         assert_eq!(flow.latency, SimDuration::from_millis(100));
         assert_eq!(flow.bottleneck_bps, 1e7);
         assert_eq!(flow.hops, 1);
+    }
+
+    /// Under the per-component load model, two components that each fit
+    /// a node alone may share it even when their summed CPU load exceeds
+    /// its speed. Revalidating such a plan on an unchanged network must
+    /// use that same model and keep the plan.
+    #[test]
+    fn revalidation_uses_the_configured_load_model() {
+        use ps_planner::{LoadModel, PlannerConfig};
+        use ps_spec::prelude::*;
+
+        let spec = ServiceSpec::new("shared")
+            .interface(Interface::new("Api", Vec::<String>::new()))
+            .interface(Interface::new("Store", Vec::<String>::new()))
+            .component(
+                Component::new("Front")
+                    .implements(InterfaceRef::plain("Api"))
+                    .requires(InterfaceRef::plain("Store"))
+                    .behavior(Behavior::new().cpu_per_request_ms(6.0)),
+            )
+            .component(
+                Component::new("Back")
+                    .implements(InterfaceRef::plain("Store"))
+                    .behavior(Behavior::new().cpu_per_request_ms(6.0)),
+            );
+        let mut net = Network::new();
+        let host = net.add_node("host", "s1", 1.0, Credentials::new());
+        // 100 requests/s at 6 ms each is 0.6 of the node per component:
+        // each fits alone, together they need 1.2.
+        let request = ServiceRequest::new("Api", host).rate(100.0);
+        let translator = ps_net::MappingTranslator::new();
+        let config = |load_model| PlannerConfig {
+            load_model,
+            ..PlannerConfig::default()
+        };
+        let shared = Planner::with_config(spec.clone(), config(LoadModel::Accumulated));
+        assert!(shared.plan(&net, &translator, &request).is_err());
+
+        let planner = Planner::with_config(spec, config(LoadModel::PerComponent));
+        let plan = planner.plan(&net, &translator, &request).expect("feasible");
+        assert!(plan.placements.iter().all(|p| p.node == host));
+        let decision = Replanner::new(planner).evaluate(&net, &translator, &request, &plan);
+        assert!(matches!(decision, ReplanDecision::Keep), "{decision:?}");
     }
 }

@@ -13,14 +13,15 @@
 //!    environment transformation (Figure 4 rules), and load vs capacity —
 //!    and keeping the one that optimizes the global [`Objective`].
 //!
-//! Three interchangeable search algorithms implement step 2: the
-//! exhaustive oracle, a CANS-style chain [`dp`], and an IPP-style
-//! branch-and-bound solver ([`pop`]). Property tests assert they agree.
+//! Step 2 is the paper's exhaustive search, made fast by admissible
+//! branch-and-bound pruning ([`exhaustive`], [`Algorithm::Exhaustive`],
+//! the default). It returns exactly the optimum of the unbounded search
+//! ([`Algorithm::Oracle`]); property tests assert that both the value
+//! and the placements agree.
 
 #![warn(missing_docs)]
 
 pub mod compat;
-pub mod dp;
 pub mod exhaustive;
 pub mod hierarchy;
 pub mod linkage;
@@ -28,7 +29,6 @@ pub mod load;
 pub mod mapping;
 pub mod plan;
 pub mod planner;
-pub mod pop;
 
 pub use hierarchy::{request_signature, HierConfig, HierMemo};
 pub use linkage::{

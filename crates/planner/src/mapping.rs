@@ -1,6 +1,6 @@
 //! Mapping evaluation: the three validity conditions of Section 3.3 plus
-//! objective computation, shared by the exhaustive, DP, and partial-order
-//! search algorithms.
+//! objective computation, shared by the bounded exhaustive search, the
+//! unbounded oracle, hierarchical planning and plan repair.
 //!
 //! A *mapping* assigns each linkage-graph node to a network node. The
 //! [`Mapper`] checks:

@@ -1,7 +1,6 @@
 //! The planning facade: ties enumeration, mapping, and search together
 //! (Figure 1, step 4).
 
-use crate::dp;
 use crate::exhaustive;
 use crate::linkage::enumerate_linkages_multi;
 use crate::linkage::{LinkageGraph, LinkageLimits};
@@ -10,7 +9,6 @@ use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{
     Objective, Placement, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
 };
-use crate::pop;
 use ps_net::{LinkId, Network, NodeId, PropertyTranslator, RouteTable};
 use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
@@ -25,15 +23,8 @@ pub enum Algorithm {
     Oracle,
     /// Exhaustive search with admissible branch-and-bound pruning;
     /// returns exactly the oracle's optimum (value and assignment).
-    Exhaustive,
-    /// Chain dynamic programming (CANS-style); non-chain graphs and the
-    /// MaxCapacity objective fall back to branch-and-bound.
-    DpChain,
-    /// Branch-and-bound plan-space search (IPP-style solver core).
-    PartialOrder,
-    /// DP for chains, branch-and-bound otherwise.
     #[default]
-    Auto,
+    Exhaustive,
 }
 
 /// Planner configuration.
@@ -43,9 +34,7 @@ pub struct PlannerConfig {
     pub limits: LinkageLimits,
     /// Optimization objective.
     pub objective: Objective,
-    /// Capacity enforcement mode. Note that [`Algorithm::DpChain`]
-    /// reasons per-component regardless; with `Accumulated` the final
-    /// whole-mapping check still applies to the plan it returns.
+    /// Capacity enforcement mode.
     pub load_model: LoadModel,
     /// Search algorithm.
     pub algorithm: Algorithm,
@@ -162,32 +151,20 @@ impl Planner {
             // flat and hierarchical planning on the same scale.
             stats.route_rows_built = net.node_count() as u64;
         }
-        let with_table = |mapper| attach_table(mapper, &route_table);
 
-        // One mapper per load model, shared across every candidate graph:
-        // credential translation and the route cache amortize over the
-        // whole search. The DP reasons per-component, so it gets the
-        // matching load model regardless of the configuration.
-        let configured_mapper = with_table(Mapper::new(
-            &self.spec,
-            net,
-            translator,
-            request,
-            self.config.load_model,
-            self.config.objective,
-        ));
-        let dp_mapper = if self.config.load_model == LoadModel::PerComponent {
-            None
-        } else {
-            Some(with_table(Mapper::new(
+        // One mapper shared across every candidate graph: credential
+        // translation and the route cache amortize over the whole search.
+        let mapper = attach_table(
+            Mapper::new(
                 &self.spec,
                 net,
                 translator,
                 request,
-                LoadModel::PerComponent,
+                self.config.load_model,
                 self.config.objective,
-            )))
-        };
+            ),
+            &route_table,
+        );
 
         // Best objective found across graphs; seeds the bounded search so
         // later graphs are cut against earlier graphs' optima.
@@ -198,29 +175,10 @@ impl Planner {
                 stats.prunes += 1;
                 continue;
             }
-            let use_dp = match self.config.algorithm {
-                Algorithm::Oracle | Algorithm::Exhaustive | Algorithm::PartialOrder => false,
-                Algorithm::DpChain | Algorithm::Auto => {
-                    dp::applicable(graph, self.config.objective)
-                }
-            };
-            let result = if use_dp {
-                let mapper = dp_mapper.as_ref().unwrap_or(&configured_mapper);
-                // The chain DP cannot see path-wide instance-identity
-                // constraints (no two new instances of one configuration);
-                // when its reconstruction fails final validation, fall
-                // back to the branch-and-bound solver for this graph.
-                dp::search(mapper, graph, &mut stats)
-                    .or_else(|| pop::search(&configured_mapper, graph, &mut stats))
-            } else {
-                match self.config.algorithm {
-                    Algorithm::Oracle => {
-                        exhaustive::search_unbounded(&configured_mapper, graph, &mut stats)
-                    }
-                    Algorithm::Exhaustive => {
-                        exhaustive::search_seeded(&configured_mapper, graph, &mut stats, &incumbent)
-                    }
-                    _ => pop::search(&configured_mapper, graph, &mut stats),
+            let result = match self.config.algorithm {
+                Algorithm::Oracle => exhaustive::search_unbounded(&mapper, graph, &mut stats),
+                Algorithm::Exhaustive => {
+                    exhaustive::search_seeded(&mapper, graph, &mut stats, &incumbent)
                 }
             };
             let Some((assignment, eval)) = result else {
@@ -527,46 +485,26 @@ impl Planner {
                 // fill disjoint `per_graph` slots and the merge folds them in slot
                 // order, independent of thread completion order
                 handles.push(scope.spawn(move || {
-                    let with_table = |mapper| attach_table(mapper, &worker_table);
-                    let mapper = with_table(Mapper::new(
-                        &self.spec,
-                        net,
-                        translator,
-                        request,
-                        self.config.load_model,
-                        self.config.objective,
-                    ));
-                    let dp_mapper = with_table(Mapper::new(
-                        &self.spec,
-                        net,
-                        translator,
-                        request,
-                        LoadModel::PerComponent,
-                        self.config.objective,
-                    ));
+                    let mapper = attach_table(
+                        Mapper::new(
+                            &self.spec,
+                            net,
+                            translator,
+                            request,
+                            self.config.load_model,
+                            self.config.objective,
+                        ),
+                        &worker_table,
+                    );
                     let mut results = Vec::with_capacity(chunk.len());
                     for &(slot, (order, graph)) in &chunk {
                         let mut stats = PlanStats::default();
-                        let use_dp = match self.config.algorithm {
-                            Algorithm::Oracle | Algorithm::Exhaustive | Algorithm::PartialOrder => {
-                                false
+                        let result = match self.config.algorithm {
+                            Algorithm::Oracle => {
+                                exhaustive::search_unbounded(&mapper, graph, &mut stats)
                             }
-                            Algorithm::DpChain | Algorithm::Auto => {
-                                dp::applicable(graph, self.config.objective)
-                            }
-                        };
-                        let result = if use_dp {
-                            dp::search(&dp_mapper, graph, &mut stats)
-                                .or_else(|| pop::search(&mapper, graph, &mut stats))
-                        } else {
-                            match self.config.algorithm {
-                                Algorithm::Oracle => {
-                                    exhaustive::search_unbounded(&mapper, graph, &mut stats)
-                                }
-                                Algorithm::Exhaustive => {
-                                    exhaustive::search_seeded(&mapper, graph, &mut stats, incumbent)
-                                }
-                                _ => pop::search(&mapper, graph, &mut stats),
+                            Algorithm::Exhaustive => {
+                                exhaustive::search_seeded(&mapper, graph, &mut stats, incumbent)
                             }
                         };
                         results.push((

@@ -109,6 +109,13 @@ fn replanner_keep_decision_is_traced() {
     let registry = tracer.registry().unwrap();
     assert_eq!(registry.counter("replan.keep"), 1);
     assert_eq!(registry.counter("replan.redeploy"), 0);
+    // The fresh plan's host wall time is recorded once, and stripped
+    // from the deterministic registry dump.
+    let planning = registry.histogram("replan.planning_wall_ms").unwrap();
+    assert_eq!(planning.count, 1);
+    assert!(!registry
+        .to_json_deterministic()
+        .contains("replan.planning_wall_ms"));
 }
 
 #[test]
