@@ -44,14 +44,20 @@ fn bench_planning(c: &mut Criterion) {
                 })
             });
         }
-        let planner = Planner::with_config(mail_spec(), PlannerConfig::default());
+        let planner = Planner::with_config(
+            mail_spec(),
+            PlannerConfig {
+                threads: 4,
+                ..Default::default()
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("exhaustive-parallel4", site),
             &request,
             |b, request| {
                 b.iter(|| {
                     planner
-                        .plan_parallel(&cs.network, &translator, request, 4)
+                        .plan(&cs.network, &translator, request)
                         .expect("feasible")
                         .objective_value
                 })

@@ -41,14 +41,6 @@ const MAX_OVERHEAD: f64 = 0.05;
 /// scheduler noise.
 const ABS_SLACK_MS: f64 = 0.25;
 
-/// Same thread count `bench_planner` uses for its optimized stack.
-fn planning_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
 struct ConnInfo {
     site: &'static str,
     scope: String,
@@ -172,28 +164,21 @@ fn measure_disabled_planning() -> f64 {
         .require("TrustLevel", 4i64);
     let planner = Planner::with_config(
         mail_spec(),
-        PlannerConfig {
+        ps_bench::with_planning_threads(PlannerConfig {
             algorithm: Algorithm::Exhaustive,
             share_route_table: true,
             ..Default::default()
-        },
+        }),
     );
     let translator = mail_translator();
-    let threads = planning_threads();
     let mut best = f64::INFINITY;
     let mut total_ms = 0.0;
     let mut reps = 0;
     while reps < REPS || (total_ms < MIN_TOTAL_MS && reps < MAX_REPS) {
         let start = WallTimer::start();
-        let plan = if threads > 1 {
-            planner
-                .plan_parallel(&cs.network, &translator, &request, threads)
-                .expect("plan")
-        } else {
-            planner
-                .plan(&cs.network, &translator, &request)
-                .expect("plan")
-        };
+        let plan = planner
+            .plan(&cs.network, &translator, &request)
+            .expect("plan");
         let time_ms = start.elapsed_ms();
         std::hint::black_box(plan.objective_value);
         total_ms += time_ms;

@@ -29,6 +29,25 @@ pub use scale::{
 pub fn stable_artifacts() -> bool {
     std::env::var("PS_STABLE_ARTIFACTS").is_ok_and(|v| v == "1")
 }
+
+/// `config` with [`PlannerConfig::threads`] set for the optimized
+/// planning stack: matched to the machine (capped at 4) so the parallel
+/// sweep never pays thread overhead the hardware cannot repay, and one
+/// in stable-artifact mode — with more than one worker the shared
+/// incumbent makes prune and evaluation counts depend on thread timing.
+///
+/// [`PlannerConfig::threads`]: ps_planner::PlannerConfig::threads
+pub fn with_planning_threads(config: ps_planner::PlannerConfig) -> ps_planner::PlannerConfig {
+    let threads = if stable_artifacts() {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+            .min(4)
+    };
+    ps_planner::PlannerConfig { threads, ..config }
+}
 pub use scenarios::{
     figure7_sweep, render_figure7, run_custom_policy, run_scenario, run_scenario_with_policy,
     Fig7Config, Scenario, ScenarioResult,

@@ -347,7 +347,7 @@ impl Replanner {
     /// model, so it is judged by the same capacity rules as the fresh
     /// plan. The fresh plan's host wall time goes to the tracer's
     /// registry as the `replan.planning_wall_ms` histogram.
-    pub fn evaluate<T: PropertyTranslator + ?Sized>(
+    pub fn evaluate<T: PropertyTranslator + Sync + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
@@ -397,7 +397,7 @@ impl Replanner {
     /// Like [`evaluate`](Self::evaluate), stamping the decision as a
     /// `replan.decision` trace event at virtual time `now` and counting
     /// it in the registry.
-    pub fn evaluate_at<T: PropertyTranslator + ?Sized>(
+    pub fn evaluate_at<T: PropertyTranslator + Sync + ?Sized>(
         &self,
         now: SimTime,
         net: &Network,

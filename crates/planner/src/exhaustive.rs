@@ -3,7 +3,7 @@
 //! Tree nodes are assigned in bottom-up order so that every parent-child
 //! property-flow check (condition 2) can run the moment the parent is
 //! placed, pruning infeasible subtrees early. On top of that, the
-//! default entry point ([`search`]) accumulates the partial objective
+//! bounded search ([`search`]) accumulates the partial objective
 //! incrementally during recursion and cuts any subtree whose admissible
 //! lower bound already exceeds the incumbent's objective:
 //!
@@ -31,9 +31,10 @@
 //!   assignment — is identical to the unbounded oracle's. For
 //!   `MaxCapacity` (non-additive, negated) bounding is disabled.
 //!
-//! The pre-bounding oracle remains reachable via [`search_unbounded`]
-//! (exposed as `Algorithm::Oracle`) for equivalence testing — the
-//! agreement suite asserts both return the same optimum.
+//! The pre-bounding oracle remains reachable as `bounded: false`
+//! ([`SearchInputs::bounded`], exposed as `Algorithm::Oracle`) for
+//! equivalence testing — the agreement suite asserts both return the
+//! same optimum.
 //!
 //! Feasibility and objective of complete assignments are computed by
 //! [`Mapper::evaluate`].
@@ -48,7 +49,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically decreasing objective value shared across graph
-/// searches (and across `plan_parallel` workers): the best complete
+/// searches (and across parallel sweep workers): the best complete
 /// mapping found so far anywhere in the planning call.
 ///
 /// Seeding later graph searches with it is exact: pruning is strict
@@ -94,99 +95,58 @@ impl Default for Incumbent {
     }
 }
 
-/// Searches every feasible mapping of `graph` with admissible
-/// branch-and-bound pruning, returning the best assignment and its
-/// evaluation. Exactly equivalent to [`search_unbounded`].
+/// How one graph search prunes and what it starts from, beyond the
+/// mapper (which carries the candidate universe) and the graph.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchInputs<'a> {
+    /// Admissible branch-and-bound pruning. `false` is the unbounded
+    /// oracle: the full candidate product with only property-flow
+    /// pruning (the paper's "exhaustively searches for a deployment"
+    /// baseline), kept for equivalence testing and as the bench
+    /// baseline. The oracle ignores `incumbent` and `strictly_better`.
+    pub bounded: bool,
+    /// The best objective found across *other* graphs (and worker
+    /// threads) of the same planning call: pruned against, and
+    /// improvements are published back into it.
+    pub incumbent: &'a Incumbent,
+    /// Warm-start repair: every tree node with `fixed[idx] = Some(node)`
+    /// has its candidate set intersected down to that single node (kept
+    /// only if it still passes the mapper's condition-1 filter), so the
+    /// search explores just the unfixed — failure-touched — positions.
+    pub fixed: Option<&'a [Option<NodeId>]>,
+    /// Prune with `>=` against the incumbent, cutting subtrees that
+    /// cannot *strictly* beat it. Sound whenever a feasible plan
+    /// achieving the incumbent's value is already in hand and ties
+    /// should keep it: every strictly better mapping is still found,
+    /// only equal-or-worse completions are skipped — including the
+    /// plateau of equal-objective tie mappings a strict bound must
+    /// evaluate one by one. Serial use only: under a shared concurrent
+    /// incumbent the returned per-graph result would depend on
+    /// publication timing.
+    pub strictly_better: bool,
+}
+
+/// Searches every feasible mapping of `graph` under `inputs`, returning
+/// the best assignment and its evaluation. With `bounded` (and no tie
+/// pruning) the result — value and assignment — is exactly the
+/// unbounded oracle's.
 pub fn search(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     stats: &mut PlanStats,
+    inputs: SearchInputs<'_>,
 ) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, true, None, None, false)
-}
-
-/// Like [`search`], but additionally prunes against `incumbent` — the
-/// best objective found across *other* graphs (and worker threads) of
-/// the same planning call — and publishes improvements back into it.
-pub fn search_seeded(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    incumbent: &Incumbent,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, true, Some(incumbent), None, false)
-}
-
-/// Warm-start repair solve: like [`search_seeded`], but every tree node
-/// with `fixed[idx] = Some(node)` has its candidate set intersected down
-/// to that single node (kept only if the node still passes the mapper's
-/// condition-1 filter), so the search explores just the unfixed —
-/// failure-touched — positions. Returns `None` when a fixed placement is
-/// no longer admissible; any feasible result's objective is offered to
-/// `incumbent`, seeding the exact full search that follows.
-pub fn search_restricted(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    fixed: &[Option<NodeId>],
-    incumbent: &Incumbent,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    debug_assert_eq!(fixed.len(), graph.len());
-    search_inner(
-        mapper,
-        graph,
-        stats,
-        true,
-        Some(incumbent),
-        Some(fixed),
-        false,
-    )
-}
-
-/// The repair sweep's confirmation search: like [`search_seeded`], but
-/// prunes with `>=` against the incumbent, cutting subtrees that cannot
-/// *strictly* beat it. Sound whenever a feasible plan achieving the
-/// incumbent's value is already in hand (the repair seed) and ties
-/// should keep it: every strictly better mapping is still found (an
-/// admissible bound `>=` the incumbent proves no completion goes below
-/// it), only equal-or-worse completions are skipped — including the
-/// plateau of equal-objective tie mappings a strict bound must evaluate
-/// one by one. Serial use only: under a shared concurrent incumbent the
-/// returned per-graph result would depend on publication timing.
-pub fn search_strictly_better(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    incumbent: &Incumbent,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, true, Some(incumbent), None, true)
-}
-
-/// The unbounded oracle: explores the full candidate product with only
-/// property-flow pruning (the paper's "exhaustively searches for a
-/// deployment" baseline). Kept for equivalence testing and as the
-/// seed-algorithm baseline in the planner bench.
-pub fn search_unbounded(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, false, None, None, false)
-}
-
-fn search_inner(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    bounded: bool,
-    incumbent: Option<&Incumbent>,
-    fixed: Option<&[Option<NodeId>]>,
-    prune_ties: bool,
-) -> Option<(Vec<NodeId>, Evaluation)> {
+    let SearchInputs {
+        bounded,
+        incumbent,
+        fixed,
+        strictly_better,
+    } = inputs;
     let n = graph.len();
     let order = graph.bottom_up_order();
     let mut candidates: Vec<Vec<NodeId>> = (0..n).map(|i| mapper.candidates(graph, i)).collect();
     if let Some(fixed) = fixed {
+        debug_assert_eq!(fixed.len(), n);
         // Intersecting (rather than replacing) keeps the condition-1
         // filter authoritative: a fixed node that lost its installation
         // conditions empties the set and the repair reports infeasible.
@@ -372,8 +332,8 @@ fn search_inner(
         same_component,
         data_view,
         identity_prune: bounded,
-        incumbent: if bounding { incumbent } else { None },
-        prune_ties,
+        incumbent: bounding.then_some(incumbent),
+        prune_ties: strictly_better,
         memoize: bounded,
         flow_memo: HashMap::new(),
         provided_interned: Vec::new(),
@@ -421,7 +381,8 @@ fn latency_part(objective: Objective) -> f64 {
 /// evaluator's ([`Mapper::evaluate`]) so the accumulated partial at a
 /// complete assignment equals the full objective when no preexisting
 /// factor mismatch occurs; this is what lets the `>=` sweep of
-/// [`search_strictly_better`] cut the plateau of latency-tied mappings.
+/// [`SearchInputs::strictly_better`] cut the plateau of latency-tied
+/// mappings.
 fn cost_part(objective: Objective) -> f64 {
     match objective {
         Objective::MinLatency => 1e-9,
@@ -561,7 +522,7 @@ struct State<'a, 'b> {
     /// Prune with `>=` instead of `>`: cut subtrees that cannot
     /// *strictly* beat the incumbent. Only sound when the caller keeps
     /// a feasible plan achieving the incumbent's value on ties (the
-    /// repair sweep); see [`search_strictly_better`].
+    /// repair sweep); see [`SearchInputs::strictly_better`].
     prune_ties: bool,
     /// Memoize property-flow verdicts per (tree node, host, child
     /// context). The flow is a pure function of that key, and the

@@ -31,20 +31,31 @@
 //! composed plan is provably the flat optimum. Without refinement the
 //! composed plan ships immediately and [`PlanStats::hier_gap_micro`]
 //! reports an admissible optimality-gap bound instead.
+//!
+//! The solve itself is the one planning pipeline ([`Planner::plan_with`]);
+//! this module supplies its composition universe, the gap bound and the
+//! hierarchical trace counters.
 
-use crate::exhaustive;
-use crate::linkage::{enumerate_linkages_multi, LinkageGraph};
+use crate::linkage::LinkageGraph;
 use crate::load::propagate_rates;
 use crate::mapping::Mapper;
-use crate::plan::{Objective, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest};
-use crate::planner::{assemble_plan, Planner, RepairContext};
-use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, RouteTable, ScopedRoutes};
+use crate::plan::{Objective, Plan, PlanError, PlanStats, ServiceRequest};
+use crate::planner::{Planner, Scope};
+use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// Shortlist length per (region, component): how many installable
+/// hosts each region contributes to the composition universe.
+const SHORTLIST: usize = 6;
+
+/// How many of a region's gateways participate in shortlist ranking
+/// (each ranked gateway costs one lazy Dijkstra row).
+const RANK_GATEWAYS: usize = 4;
+
 /// Configuration of the hierarchical planning path
 /// ([`PlannerConfig::hier`](crate::PlannerConfig)).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierConfig {
     /// Run the exact refinement sweep over the full network after
     /// composing (warm-started by the composed incumbent). With it the
@@ -52,22 +63,12 @@ pub struct HierConfig {
     /// without it the composed plan ships as-is and
     /// [`PlanStats::hier_gap_micro`] carries the optimality-gap bound.
     pub refine: bool,
-    /// Shortlist length per (region, component): how many installable
-    /// hosts each region contributes to the composition universe.
-    pub shortlist: usize,
-    /// How many of a region's gateways participate in shortlist
-    /// ranking (each ranked gateway costs one lazy Dijkstra row).
-    pub rank_gateways: usize,
-}
-
-impl Default for HierConfig {
-    fn default() -> Self {
-        HierConfig {
-            refine: false,
-            shortlist: 6,
-            rank_gateways: 4,
-        }
-    }
+    /// Carries no setting. Callers build the config as
+    /// `HierConfig { refine, ..HierConfig::default() }`, which keeps
+    /// compiling if settings are added and is not a needless update
+    /// while `refine` is the only one.
+    #[doc(hidden)]
+    pub __non_exhaustive: (),
 }
 
 /// Work attributed to one region during a hierarchical solve, for the
@@ -245,12 +246,21 @@ pub fn request_signature(request: &ServiceRequest) -> u64 {
     hash
 }
 
-/// Everything one hierarchical solve needs: the universe-restricted
-/// mapper plus per-region work attribution.
-struct HierSetup<'a> {
-    mapper: Mapper<'a>,
+/// Route rows and per-region work one hierarchical solve accounts for.
+pub(crate) struct HierWork {
     scoped: Arc<ScopedRoutes>,
+    /// `scoped.rows_built()` when the solve started: the memo's rows
+    /// are shared by every plan of one network epoch, so this call is
+    /// charged only the growth.
+    rows_before: usize,
     per_region: BTreeMap<String, RegionWork>,
+}
+
+impl HierWork {
+    /// Scoped route rows built since the solve started.
+    pub(crate) fn rows_built(&self) -> u64 {
+        (self.scoped.rows_built() - self.rows_before) as u64
+    }
 }
 
 impl Planner {
@@ -258,269 +268,25 @@ impl Planner {
     /// per-region segment shortlists across the gateway skeleton and
     /// searches the restricted universe, optionally refining to the
     /// provable flat optimum (see the module docs). Falls back to the
-    /// flat path when the network has fewer than two regions or the
-    /// restricted universe turns out infeasible.
-    pub fn plan_hierarchical<T: PropertyTranslator + ?Sized>(
+    /// flat path when [`PlannerConfig::hier`](crate::PlannerConfig) is
+    /// unset, the network has fewer than two regions, or the restricted
+    /// universe turns out infeasible.
+    pub fn plan_hierarchical<T: PropertyTranslator + Sync + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
         memo: &HierMemo,
     ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let Some(setup) = self.hier_setup(net, translator, request, &graphs, memo, &[], &mut stats)
-        else {
-            // Single-region fabric: nothing to decompose.
-            return self.plan(net, translator, request);
-        };
-
-        let incumbent = exhaustive::Incumbent::new();
-        let mut best: Option<Plan> = None;
-        for graph in &graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
-            let Some((assignment, eval)) =
-                exhaustive::search_seeded(&setup.mapper, graph, &mut stats, &incumbent)
-            else {
-                continue;
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| eval.objective_value < b.objective_value);
-            if better {
-                best = Some(assemble_plan(graph, &assignment, eval));
-            }
-        }
-        stats.route_rows_built = setup.scoped.rows_built() as u64;
-
-        let Some(mut plan) = best else {
-            // The restricted universe missed every feasible mapping
-            // (e.g. the only installable host sits outside all
-            // shortlists). Correctness over speed: re-plan flat.
-            return self.plan(net, translator, request);
-        };
-
-        let cfg = self.config.hier.clone().unwrap_or_default();
-        if cfg.refine {
-            self.refine_sweep(
-                net, translator, request, &graphs, &incumbent, &mut plan, &mut stats,
-            );
-        } else {
-            stats.hier_gap_micro = gap_micro(
-                plan.objective_value,
-                self.objective_lower_bound(net, request, &graphs),
-            );
-        }
-        plan.stats = stats;
-        self.publish_stats(&plan.stats);
-        self.publish_hier(&plan.stats, &setup.per_region);
-        Ok(plan)
+        self.plan_with(net, translator, request, None, Some(memo))
     }
 
-    /// Hierarchical counterpart of [`Planner::plan_repair`]: the repair
-    /// solve (surviving placements fixed) and the follow-up sweep both
-    /// run on the composition universe — with the old plan's hosts as
-    /// additional anchors — instead of the whole network. With
-    /// [`HierConfig::refine`] the follow-up sweep runs flat (exact
-    /// optimum, as `plan_repair`); without it the sweep stays
-    /// restricted and the gap bound is reported. Delegates to the flat
-    /// [`Planner::plan_repair`] when hierarchical planning is not
-    /// configured or the fabric has fewer than two regions.
-    pub fn plan_repair_with_memo<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        ctx: &RepairContext<'_>,
-        memo: &HierMemo,
-    ) -> Result<Plan, PlanError> {
-        if self.config.hier.is_none() {
-            return self.plan_repair(net, translator, request, ctx);
-        }
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let old = ctx.old_plan;
-        let survivors: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
-        let Some(setup) = self.hier_setup(
-            net, translator, request, &graphs, memo, &survivors, &mut stats,
-        ) else {
-            return self.plan_repair(net, translator, request, ctx);
-        };
-
-        // Which chain positions did the damage touch? (Same
-        // classification as the flat repair path.)
-        let mut affected = vec![false; old.placements.len()];
-        for (i, p) in old.placements.iter().enumerate() {
-            if !net.node(p.node).up || ctx.dirty_nodes.contains(&p.node) {
-                affected[i] = true;
-            }
-        }
-        for edge in &old.edges {
-            let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
-                || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
-            if touched {
-                affected[edge.from] = true;
-                affected[edge.to] = true;
-            }
-        }
-        if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
-            affected[0] = true;
-        }
-        let chains_resolved = affected.iter().filter(|&&a| a).count();
-        let chains_reused = affected.len() - chains_resolved;
-
-        let incumbent = exhaustive::Incumbent::new();
-        let fixed: Vec<Option<NodeId>> = affected
-            .iter()
-            .zip(&old.placements)
-            .map(|(&aff, p)| (!aff).then_some(p.node))
-            .collect();
-        let seed = graphs
-            .iter()
-            .any(|g| g == &old.graph)
-            .then(|| {
-                exhaustive::search_restricted(
-                    &setup.mapper,
-                    &old.graph,
-                    &mut stats,
-                    &fixed,
-                    &incumbent,
-                )
-            })
-            .flatten();
-        let seeded = seed.is_some();
-        let cuts_before_full = stats.bound_prunes;
-        let mut best: Option<Plan> =
-            seed.map(|(assignment, eval)| assemble_plan(&old.graph, &assignment, eval));
-
-        let cfg = self.config.hier.clone().unwrap_or_default();
-        if cfg.refine {
-            // Exact confirmation over the full network, warm-started by
-            // the repair seed (identical guarantees to `plan_repair`).
-            let mut carrier = best.take();
-            if carrier.is_none() {
-                // Nothing to refine against yet: run the plain sweep
-                // through the restricted mapper first so the incumbent
-                // is live, then confirm flat below.
-                for graph in &graphs {
-                    if !self.graph_possibly_feasible(graph, request) {
-                        continue;
-                    }
-                    if let Some((assignment, eval)) = exhaustive::search_strictly_better(
-                        &setup.mapper,
-                        graph,
-                        &mut stats,
-                        &incumbent,
-                    ) {
-                        let better = carrier
-                            .as_ref()
-                            .is_none_or(|b| eval.objective_value < b.objective_value);
-                        if better {
-                            carrier = Some(assemble_plan(graph, &assignment, eval));
-                        }
-                    }
-                }
-            }
-            if let Some(mut plan) = carrier {
-                self.refine_sweep(
-                    net, translator, request, &graphs, &incumbent, &mut plan, &mut stats,
-                );
-                best = Some(plan);
-            } else {
-                // Universe infeasible outright: exact flat repair.
-                return self.plan_repair(net, translator, request, ctx);
-            }
-        } else {
-            for graph in &graphs {
-                if !self.graph_possibly_feasible(graph, request) {
-                    stats.prunes += 1;
-                    continue;
-                }
-                let Some((assignment, eval)) = exhaustive::search_strictly_better(
-                    &setup.mapper,
-                    graph,
-                    &mut stats,
-                    &incumbent,
-                ) else {
-                    continue;
-                };
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| eval.objective_value < b.objective_value);
-                if better {
-                    best = Some(assemble_plan(graph, &assignment, eval));
-                }
-            }
-        }
-        stats.route_rows_built = setup.scoped.rows_built() as u64;
-
-        match best {
-            Some(mut plan) => {
-                if !stats.hier_refined {
-                    stats.hier_gap_micro = gap_micro(
-                        plan.objective_value,
-                        self.objective_lower_bound(net, request, &graphs),
-                    );
-                }
-                plan.stats = stats;
-                plan.repair = Some(PlanRepairStats {
-                    chains_resolved,
-                    chains_reused,
-                    seeded_bound_cuts: stats.bound_prunes - cuts_before_full,
-                    seeded,
-                });
-                self.publish_stats(&plan.stats);
-                self.publish_hier(&plan.stats, &setup.per_region);
-                let tracer = &self.config.tracer;
-                tracer.count("planner.repairs", 1);
-                tracer.count("planner.repair_chains_resolved", chains_resolved as u64);
-                tracer.count("planner.repair_chains_reused", chains_reused as u64);
-                Ok(plan)
-            }
-            // The restricted repair found nothing; the flat path is the
-            // completeness backstop.
-            None => self.plan_repair(net, translator, request, ctx),
-        }
-    }
-
-    /// Builds the composition universe and its mapper. `None` when the
-    /// fabric has fewer than two regions (hierarchical planning adds
-    /// nothing there).
+    /// Builds the composition universe: the universe-restricted mapper,
+    /// the scope parallel sweep workers rebuild it from, and the work
+    /// bookkeeping. `None` when the fabric has fewer than two regions
+    /// (hierarchical planning adds nothing there).
     #[allow(clippy::too_many_arguments)]
-    fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
+    pub(crate) fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
         &'a self,
         net: &'a Network,
         translator: &T,
@@ -529,13 +295,13 @@ impl Planner {
         memo: &HierMemo,
         extra_anchors: &[NodeId],
         stats: &mut PlanStats,
-    ) -> Option<HierSetup<'a>> {
+    ) -> Option<(Mapper<'a>, Scope, HierWork)> {
         let map = memo.region_map(net);
         if map.len() < 2 {
             return None;
         }
-        let cfg = self.config.hier.clone().unwrap_or_default();
         let scoped = memo.scoped_routes(net);
+        let rows_before = scoped.rows_built();
         let sig = request_signature(request);
 
         // Anchors: nodes every candidate plan is tethered to.
@@ -570,15 +336,11 @@ impl Planner {
         // `component_fits` drives candidate filtering) and restricted to
         // the universe afterwards — `with_universe` must precede any
         // candidate query, and `component_fits` makes none.
-        let mapper = Mapper::new(
-            &self.spec,
-            net,
-            translator,
-            request,
-            self.config.load_model,
-            self.config.objective,
-        )
-        .with_scoped_routes(Arc::clone(&scoped));
+        let mut scope = Scope {
+            scoped: Some(Arc::clone(&scoped)),
+            ..Scope::default()
+        };
+        let mapper = self.mapper(net, translator, request, &scope);
 
         let mut components: BTreeSet<&str> = BTreeSet::new();
         for graph in graphs {
@@ -600,15 +362,7 @@ impl Planner {
                     continue;
                 }
                 let timer = ps_trace::WallTimer::start();
-                let shortlist = segment_shortlist(
-                    &mapper,
-                    net,
-                    &scoped,
-                    region,
-                    component,
-                    cfg.shortlist,
-                    cfg.rank_gateways,
-                );
+                let shortlist = segment_shortlist(&mapper, net, &scoped, region, component);
                 work.wall_us += timer.elapsed_micros();
                 work.segments += 1;
                 stats.hier_segments += 1;
@@ -619,58 +373,14 @@ impl Planner {
 
         let universe: Vec<NodeId> = universe.into_iter().collect();
         stats.hier_universe = universe.len() as u32;
-        let mapper = mapper.with_universe(universe);
-        Some(HierSetup {
-            mapper,
+        let mapper = mapper.with_universe(universe.clone());
+        scope.universe = Some(universe);
+        let work = HierWork {
             scoped,
+            rows_before,
             per_region,
-        })
-    }
-
-    /// The exact refinement sweep: strict-improvement search over the
-    /// full network, warm-started by the composed incumbent. When it
-    /// surfaces nothing, the composed plan *is* the flat optimum (the
-    /// sweep's pruning only ever cuts completions that cannot strictly
-    /// beat the incumbent).
-    #[allow(clippy::too_many_arguments)]
-    fn refine_sweep<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        graphs: &[LinkageGraph],
-        incumbent: &exhaustive::Incumbent,
-        plan: &mut Plan,
-        stats: &mut PlanStats,
-    ) {
-        let table = Arc::new(RouteTable::build(net));
-        stats.route_table_build_us = table.build_micros();
-        let full_mapper = Mapper::new(
-            &self.spec,
-            net,
-            translator,
-            request,
-            self.config.load_model,
-            self.config.objective,
-        )
-        .with_route_table(table);
-        let cuts_before = stats.bound_prunes;
-        for graph in graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                continue;
-            }
-            let Some((assignment, eval)) =
-                exhaustive::search_strictly_better(&full_mapper, graph, stats, incumbent)
-            else {
-                continue;
-            };
-            if eval.objective_value < plan.objective_value {
-                *plan = assemble_plan(graph, &assignment, eval);
-            }
-        }
-        stats.hier_refine_cuts = stats.bound_prunes - cuts_before;
-        stats.hier_refined = true;
-        stats.hier_gap_micro = 0;
+        };
+        Some((mapper, scope, work))
     }
 
     /// Cheap admissible lower bound on the flat optimum across all
@@ -679,7 +389,7 @@ impl Planner {
     /// component's rate-weighted CPU cost on the fastest live node —
     /// ignoring routing, transfer, and penalties, all of which are
     /// non-negative. Other objectives conservatively bound at zero.
-    fn objective_lower_bound(
+    pub(crate) fn objective_lower_bound(
         &self,
         net: &Network,
         request: &ServiceRequest,
@@ -717,7 +427,7 @@ impl Planner {
 
     /// Publishes hierarchical counters, including per-region plan-work
     /// attribution for `timeline_report` breakdowns.
-    fn publish_hier(&self, stats: &PlanStats, per_region: &BTreeMap<String, RegionWork>) {
+    pub(crate) fn publish_hier(&self, stats: &PlanStats, work: &HierWork) {
         let tracer = &self.config.tracer;
         tracer.count("planner.hier.plans", 1);
         tracer.count("planner.hier.segments", u64::from(stats.hier_segments));
@@ -730,7 +440,7 @@ impl Planner {
         } else {
             tracer.gauge("planner.hier.gap_micro", stats.hier_gap_micro as f64);
         }
-        for (site, work) in per_region {
+        for (site, work) in &work.per_region {
             tracer.count(&format!("planner.region.{site}.segments"), work.segments);
             tracer.count(&format!("planner.region.{site}.memo_hits"), work.hits);
             // Cumulative wall-clock attribution: `_wall_` metrics are
@@ -743,16 +453,14 @@ impl Planner {
 /// Computes one region's shortlist for `component`: every member host
 /// passing the condition-1 filter, ranked by proximity to the region's
 /// border gateways (minimum scoped latency to any of the first
-/// `rank_gateways` gateways; ties and gateway-less regions fall back to
-/// node-id order), truncated to `limit`.
+/// [`RANK_GATEWAYS`] gateways; ties and gateway-less regions fall back
+/// to node-id order), truncated to [`SHORTLIST`].
 fn segment_shortlist(
     mapper: &Mapper<'_>,
     net: &Network,
     scoped: &ScopedRoutes,
     region: &ps_net::Region,
     component: &str,
-    limit: usize,
-    rank_gateways: usize,
 ) -> Vec<NodeId> {
     let Some(decl) = mapper.spec.get_component(component) else {
         return Vec::new();
@@ -766,7 +474,7 @@ fn segment_shortlist(
             let proximity = region
                 .gateways
                 .iter()
-                .take(rank_gateways)
+                .take(RANK_GATEWAYS)
                 .filter_map(|&gw| scoped.latency(net, gw, node))
                 .map(|latency| latency.as_nanos())
                 .min()
@@ -775,12 +483,12 @@ fn segment_shortlist(
         })
         .collect();
     fitting.sort_unstable();
-    fitting.truncate(limit);
+    fitting.truncate(SHORTLIST);
     fitting.into_iter().map(|(_, node)| node).collect()
 }
 
 /// Saturating micro-unit optimality gap: `(value − bound) · 1e6`.
-fn gap_micro(value: f64, lower_bound: f64) -> u64 {
+pub(crate) fn gap_micro(value: f64, lower_bound: f64) -> u64 {
     let gap = (value - lower_bound).max(0.0) * 1e6;
     if gap >= u64::MAX as f64 {
         u64::MAX

@@ -18,6 +18,13 @@
 //! the default). It returns exactly the optimum of the unbounded search
 //! ([`Algorithm::Oracle`]); property tests assert that both the value
 //! and the placements agree.
+//!
+//! Both steps run in one pipeline, [`Planner::plan_with`]: warm-start
+//! repair ([`Planner::plan_repair`]) and hierarchical composition
+//! ([`Planner::plan_hierarchical`], [`hierarchy`]) are policies that
+//! choose its inputs — the candidate universe, fixed placements, the
+//! incumbent seed and the tie-pruning strictness of the one search
+//! function, [`exhaustive::search`].
 
 #![warn(missing_docs)]
 

@@ -334,30 +334,14 @@ pub struct PlanStats {
     /// (`(composed − lower_bound) · 1e6`, saturating). Zero when
     /// refinement ran.
     pub hier_gap_micro: u64,
-    /// Lazy per-source routing rows materialized by the hierarchical
-    /// path (its substitute for the full route-table build).
+    /// Routing rows (one Dijkstra source each) built during this call:
+    /// the full or repaired route table on the flat path, the lazy
+    /// scoped rows on the hierarchical path — rows an earlier plan
+    /// already built into a shared memo are not charged again.
     pub route_rows_built: u64,
 }
 
 impl PlanStats {
-    /// Folds another run's counters into this one (graph totals are
-    /// kept from `self`; build time takes the maximum since workers
-    /// share one table).
-    pub fn absorb(&mut self, other: &PlanStats) {
-        self.mappings_evaluated += other.mappings_evaluated;
-        self.prunes += other.prunes;
-        self.bound_prunes += other.bound_prunes;
-        self.route_table_build_us = self.route_table_build_us.max(other.route_table_build_us);
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.hier_segments += other.hier_segments;
-        self.hier_memo_hits += other.hier_memo_hits;
-        self.hier_universe = self.hier_universe.max(other.hier_universe);
-        self.hier_refine_cuts += other.hier_refine_cuts;
-        self.hier_refined |= other.hier_refined;
-        self.hier_gap_micro = self.hier_gap_micro.max(other.hier_gap_micro);
-        self.route_rows_built = self.route_rows_built.max(other.route_rows_built);
-    }
-
     /// Deterministic proxy for planning work: mapping evaluations and
     /// prunes weigh 1 each, every lazy routing row weighs as much as
     /// one evaluation batch (a full Dijkstra ≈ 64 evaluations at scale).

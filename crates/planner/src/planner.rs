@@ -1,7 +1,8 @@
 //! The planning facade: ties enumeration, mapping, and search together
 //! (Figure 1, step 4).
 
-use crate::exhaustive;
+use crate::exhaustive::{self, SearchInputs};
+use crate::hierarchy::{gap_micro, HierMemo};
 use crate::linkage::enumerate_linkages_multi;
 use crate::linkage::{LinkageGraph, LinkageLimits};
 use crate::load::LoadModel;
@@ -9,7 +10,7 @@ use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{
     Objective, Placement, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
 };
-use ps_net::{LinkId, Network, NodeId, PropertyTranslator, RouteTable};
+use ps_net::{LinkId, Network, NodeId, PropertyTranslator, RouteTable, ScopedRoutes};
 use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
 use std::sync::Arc;
@@ -38,24 +39,23 @@ pub struct PlannerConfig {
     pub load_model: LoadModel,
     /// Search algorithm.
     pub algorithm: Algorithm,
-    /// Worker threads for graph mapping (0 or 1 = serial). Used by
-    /// [`Planner::plan_parallel`]-aware callers such as the generic
-    /// server.
+    /// Worker threads for the graph sweep (0 or 1 = serial). Repair and
+    /// refinement sweeps prune ties and always run serially.
     pub threads: usize,
-    /// Build one all-pairs [`RouteTable`] per planning call and share it
-    /// (read-only) across every mapper — including all
-    /// [`Planner::plan_parallel`] workers — instead of each mapper
-    /// running its own on-demand Dijkstras. On by default; turn off to
-    /// measure the lazy baseline.
+    /// Build one all-pairs [`RouteTable`] per flat planning call and
+    /// share it (read-only) across every mapper — including all parallel
+    /// sweep workers — instead of each mapper running its own on-demand
+    /// Dijkstras. On by default; turn off to measure the lazy baseline.
     pub share_route_table: bool,
     /// Tracer receiving planning statistics (`planner.*` registry
     /// counters). Disabled by default; the planner emits no trace
     /// *events* because it runs in host wall-clock time, which is banned
     /// from the deterministic event stream.
     pub tracer: Tracer,
-    /// Hierarchical gateway-composed planning
-    /// ([`Planner::plan_hierarchical`]): `Some` switches the serving
-    /// layer's connect and repair paths onto region decomposition with
+    /// Hierarchical gateway-composed planning: `Some` puts every
+    /// [`Planner::plan_with`] call that carries a [`HierMemo`] — the
+    /// serving layer's connects and repairs,
+    /// [`Planner::plan_hierarchical`] — onto region decomposition with
     /// the per-region subplan memo. `None` (the default) keeps every
     /// path flat.
     pub hier: Option<crate::hierarchy::HierConfig>,
@@ -111,113 +111,15 @@ impl Planner {
     /// Plans a deployment satisfying `request` on `net` (Section 3.3's
     /// two logical steps: enumerate valid linkages, then map them onto
     /// the network discarding mappings that violate any constraint,
-    /// keeping the objective-optimal survivor).
-    pub fn plan<T: PropertyTranslator + ?Sized>(
+    /// keeping the objective-optimal survivor). Always flat: the whole
+    /// network is the candidate universe.
+    pub fn plan<T: PropertyTranslator + Sync + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
     ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let mut best: Option<Plan> = None;
-
-        // All-pairs routes computed once for this network epoch and
-        // shared by every mapper below.
-        let route_table = self
-            .config
-            .share_route_table
-            .then(|| Arc::new(RouteTable::build(net)));
-        if let Some(table) = &route_table {
-            stats.route_table_build_us = table.build_micros();
-            // A full build runs one Dijkstra per source; recorded so the
-            // deterministic work proxy (`PlanStats::work_units`) charges
-            // flat and hierarchical planning on the same scale.
-            stats.route_rows_built = net.node_count() as u64;
-        }
-
-        // One mapper shared across every candidate graph: credential
-        // translation and the route cache amortize over the whole search.
-        let mapper = attach_table(
-            Mapper::new(
-                &self.spec,
-                net,
-                translator,
-                request,
-                self.config.load_model,
-                self.config.objective,
-            ),
-            &route_table,
-        );
-
-        // Best objective found across graphs; seeds the bounded search so
-        // later graphs are cut against earlier graphs' optima.
-        let incumbent = exhaustive::Incumbent::new();
-
-        for graph in &graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
-            let result = match self.config.algorithm {
-                Algorithm::Oracle => exhaustive::search_unbounded(&mapper, graph, &mut stats),
-                Algorithm::Exhaustive => {
-                    exhaustive::search_seeded(&mapper, graph, &mut stats, &incumbent)
-                }
-            };
-            let Some((assignment, eval)) = result else {
-                continue;
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| eval.objective_value < b.objective_value);
-            if !better {
-                continue;
-            }
-            best = Some(assemble_plan(graph, &assignment, eval));
-        }
-
-        match best {
-            Some(mut plan) => {
-                plan.stats = stats;
-                self.publish_stats(&plan.stats);
-                Ok(plan)
-            }
-            None => Err(PlanError::NoFeasibleMapping {
-                graphs: graphs.len(),
-            }),
-        }
-    }
-
-    /// Folds a completed search's statistics into the configured tracer's
-    /// registry (a no-op with the default disabled tracer).
-    pub(crate) fn publish_stats(&self, stats: &PlanStats) {
-        let tracer = &self.config.tracer;
-        tracer.count("planner.plans", 1);
-        tracer.count("planner.graphs_enumerated", stats.graphs_enumerated as u64);
-        tracer.count("planner.mappings_evaluated", stats.mappings_evaluated);
-        tracer.count("planner.prunes", stats.prunes);
-        tracer.count("planner.bound_prunes", stats.bound_prunes);
-        tracer.gauge(
-            "planner.route_table_build_wall_us",
-            stats.route_table_build_us as f64,
-        );
+        self.plan_with(net, translator, request, None, None)
     }
 
     /// Warm-start plan repair: re-plans `request` after a network change,
@@ -231,12 +133,11 @@ impl Planner {
     ///    are re-solved. Any feasible repaired mapping's objective seeds
     ///    the shared incumbent.
     /// 2. **Exact search** — the same bounded branch-and-bound sweep over
-    ///    every candidate graph that [`plan`](Self::plan) runs (pinned to
-    ///    [`Algorithm::Exhaustive`], the incumbent-aware solver). Because
-    ///    pruning is strict (`bound > incumbent`), the seed never cuts an
-    ///    equal-or-better completion, so the returned objective value is
-    ///    exactly the from-scratch optimum — just found with most of the
-    ///    tree pre-cut.
+    ///    every candidate graph that [`plan`](Self::plan) runs. Because
+    ///    pruning only cuts completions that cannot strictly beat the
+    ///    incumbent, the returned objective value is exactly the
+    ///    from-scratch optimum — just found with most of the tree
+    ///    pre-cut.
     ///
     /// On objective *ties* the repaired old-shape mapping wins, which
     /// minimizes placement churn: surviving instances stay where they
@@ -247,183 +148,44 @@ impl Planner {
     /// When `ctx.prior_routes` carries the previous epoch's route table,
     /// it is repaired incrementally ([`RouteTable::repair`]) from the
     /// same dirty sets instead of rebuilding all sources.
-    pub fn plan_repair<T: PropertyTranslator + ?Sized>(
+    pub fn plan_repair<T: PropertyTranslator + Sync + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
         ctx: &RepairContext<'_>,
     ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let route_table = self.config.share_route_table.then(|| {
-            match &ctx.prior_routes {
-                Some(prior) if prior.is_current(net) => Arc::clone(prior),
-                Some(prior) => {
-                    // Delta-Dijkstra repair of the previous epoch's table:
-                    // the dirty sets below are exactly the damage since it
-                    // was built, so only affected sources re-run.
-                    let mut table = (**prior).clone();
-                    let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
-                    stats.route_table_build_us = outcome.repair_micros;
-                    stats.route_rows_built = outcome.sources_rebuilt as u64;
-                    Arc::new(table)
-                }
-                None => {
-                    let table = Arc::new(RouteTable::build(net));
-                    stats.route_table_build_us = table.build_micros();
-                    stats.route_rows_built = net.node_count() as u64;
-                    table
-                }
-            }
-        });
-        let configured_mapper = attach_table(
-            Mapper::new(
-                &self.spec,
-                net,
-                translator,
-                request,
-                self.config.load_model,
-                self.config.objective,
-            ),
-            &route_table,
-        );
-
-        // Which chain positions did the damage touch? A placement is
-        // affected when its host is down or dirty; an edge implicates
-        // both endpoints when its route crossed a dirty link or node.
-        let old = ctx.old_plan;
-        let mut affected = vec![false; old.placements.len()];
-        for (i, p) in old.placements.iter().enumerate() {
-            if !net.node(p.node).up || ctx.dirty_nodes.contains(&p.node) {
-                affected[i] = true;
-            }
-        }
-        for edge in &old.edges {
-            let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
-                || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
-            if touched {
-                affected[edge.from] = true;
-                affected[edge.to] = true;
-            }
-        }
-        if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
-            // The implicit client → root route is not recorded in the
-            // plan's edges; a free-floating root is conservatively
-            // re-solved whenever anything moved.
-            affected[0] = true;
-        }
-        let chains_resolved = affected.iter().filter(|&&a| a).count();
-        let chains_reused = affected.len() - chains_resolved;
-
-        let incumbent = exhaustive::Incumbent::new();
-
-        // Phase 1: the repair solve (fixed survivors, re-solve the rest).
-        let fixed: Vec<Option<NodeId>> = affected
-            .iter()
-            .zip(&old.placements)
-            .map(|(&aff, p)| (!aff).then_some(p.node))
-            .collect();
-        // The seed must live in the current request's graph space: a
-        // plan carried over from a differently-shaped request (e.g. a
-        // degraded-mode detached chain being re-planned on the full
-        // request) would otherwise seed — and on objective could win —
-        // with a graph this request cannot legally produce.
-        let seed = graphs
-            .iter()
-            .any(|g| g == &old.graph)
-            .then(|| {
-                exhaustive::search_restricted(
-                    &configured_mapper,
-                    &old.graph,
-                    &mut stats,
-                    &fixed,
-                    &incumbent,
-                )
-            })
-            .flatten();
-        let seeded = seed.is_some();
-        let cuts_before_full = stats.bound_prunes;
-        let mut best: Option<Plan> =
-            seed.map(|(assignment, eval)| assemble_plan(&old.graph, &assignment, eval));
-
-        // Phase 2: the exact confirmation sweep, warm-started by the
-        // repair seed. Tie-pruning (`>=` cuts) is sound here because
-        // `best` always holds a feasible plan achieving the incumbent's
-        // value — the seed, or the latest strictly-better find — and
-        // ties deliberately keep it (churn minimization): the sweep
-        // only needs to surface *strictly better* mappings, so the
-        // plateau of equal-objective completions is never enumerated.
-        for graph in &graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
-            let Some((assignment, eval)) = exhaustive::search_strictly_better(
-                &configured_mapper,
-                graph,
-                &mut stats,
-                &incumbent,
-            ) else {
-                continue;
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| eval.objective_value < b.objective_value);
-            if better {
-                best = Some(assemble_plan(graph, &assignment, eval));
-            }
-        }
-
-        match best {
-            Some(mut plan) => {
-                plan.stats = stats;
-                plan.repair = Some(PlanRepairStats {
-                    chains_resolved,
-                    chains_reused,
-                    seeded_bound_cuts: stats.bound_prunes - cuts_before_full,
-                    seeded,
-                });
-                self.publish_stats(&plan.stats);
-                let tracer = &self.config.tracer;
-                tracer.count("planner.repairs", 1);
-                tracer.count("planner.repair_chains_resolved", chains_resolved as u64);
-                tracer.count("planner.repair_chains_reused", chains_reused as u64);
-                Ok(plan)
-            }
-            None => Err(PlanError::NoFeasibleMapping {
-                graphs: graphs.len(),
-            }),
-        }
+        self.plan_with(net, translator, request, Some(ctx), None)
     }
 
-    /// Like [`plan`](Self::plan), but maps candidate linkage graphs onto
-    /// the network on parallel threads. Each worker owns its own
-    /// [`Mapper`] (route caches are thread-local); results are reduced to
-    /// the same objective-optimal plan the serial path returns, with ties
-    /// broken by graph order so the outcome stays deterministic.
-    pub fn plan_parallel<T: PropertyTranslator + Sync + ?Sized>(
+    /// The planning pipeline behind [`plan`](Self::plan),
+    /// [`plan_repair`](Self::plan_repair) and
+    /// [`plan_hierarchical`](Self::plan_hierarchical), and the serving
+    /// layer's single planning call. One pipeline, with hierarchy and
+    /// warm-start repair as policies choosing its inputs:
+    ///
+    /// 1. validate the pins and enumerate the linkage graphs once;
+    /// 2. pick the candidate universe and its routes — the hierarchical
+    ///    composition universe with lazily built scoped rows when `memo`
+    ///    is given, [`PlannerConfig::hier`] is set and the fabric has at
+    ///    least two regions; otherwise the whole network with the shared
+    ///    route table (repaired from `repair`'s prior table when one is
+    ///    carried);
+    /// 3. with `repair`, solve the old plan's graph with the surviving
+    ///    placements fixed, seeding the incumbent;
+    /// 4. sweep every graph (on [`PlannerConfig::threads`] workers when
+    ///    more than one is configured and ties are not pruned);
+    /// 5. on the hierarchical universe, either run the exact flat
+    ///    refinement sweep ([`HierConfig::refine`](crate::HierConfig))
+    ///    or record the optimality-gap bound — and re-plan flat when the
+    ///    restricted universe found nothing.
+    pub fn plan_with<T: PropertyTranslator + Sync + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
-        threads: usize,
+        repair: Option<&RepairContext<'_>>,
+        memo: Option<&HierMemo>,
     ) -> Result<Plan, PlanError> {
         for pinned in request.pinned.keys() {
             if self.spec.get_component(pinned).is_none() {
@@ -438,135 +200,326 @@ impl Planner {
         if graphs.is_empty() {
             return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
         }
-        let viable: Vec<(usize, &crate::linkage::LinkageGraph)> = graphs
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| self.graph_possibly_feasible(g, request))
-            .collect();
-        let threads = threads.max(1).min(viable.len().max(1));
-
-        // Built once, before the workers spawn; every worker's mappers
-        // share the same read-only table through the `Arc`.
-        let route_table = self
-            .config
-            .share_route_table
-            .then(|| Arc::new(RouteTable::build(net)));
-        // Shared across workers: a mapping found by any thread bounds
-        // every other thread's remaining search.
-        let incumbent = exhaustive::Incumbent::new();
-
-        struct GraphResult {
-            order: usize,
-            assignment: Vec<ps_net::NodeId>,
-            eval: crate::mapping::Evaluation,
-        }
-
-        // One slot per viable graph: the search outcome (None when the
-        // graph had no feasible mapping) plus that search's statistics —
-        // kept separately so infeasible graphs still count their work.
-        let mut per_graph: Vec<(Option<GraphResult>, PlanStats)> = Vec::new();
-        per_graph.resize_with(viable.len(), Default::default);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let incumbent = &incumbent;
-            // Round-robin distribution: consecutive graphs tend to share
-            // structure (and cost), so striping spreads the expensive
-            // ones instead of handing one worker a whole expensive run.
-            for worker in 0..threads {
-                let chunk: Vec<(usize, (usize, &crate::linkage::LinkageGraph))> = viable
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .skip(worker)
-                    .step_by(threads)
-                    .collect();
-                let worker_table = route_table.clone();
-                // ps-lint: allow(D004): the documented planner reduction — workers
-                // fill disjoint `per_graph` slots and the merge folds them in slot
-                // order, independent of thread completion order
-                handles.push(scope.spawn(move || {
-                    let mapper = attach_table(
-                        Mapper::new(
-                            &self.spec,
-                            net,
-                            translator,
-                            request,
-                            self.config.load_model,
-                            self.config.objective,
-                        ),
-                        &worker_table,
-                    );
-                    let mut results = Vec::with_capacity(chunk.len());
-                    for &(slot, (order, graph)) in &chunk {
-                        let mut stats = PlanStats::default();
-                        let result = match self.config.algorithm {
-                            Algorithm::Oracle => {
-                                exhaustive::search_unbounded(&mapper, graph, &mut stats)
-                            }
-                            Algorithm::Exhaustive => {
-                                exhaustive::search_seeded(&mapper, graph, &mut stats, incumbent)
-                            }
-                        };
-                        results.push((
-                            slot,
-                            (
-                                result.map(|(assignment, eval)| GraphResult {
-                                    order,
-                                    assignment,
-                                    eval,
-                                }),
-                                stats,
-                            ),
-                        ));
-                    }
-                    results
-                }));
-            }
-            for handle in handles {
-                // ps-lint: allow(P001): a panicked worker thread must be
-                // re-raised here — swallowing it would return a silently
-                // truncated plan set as if it were the full search result.
-                for (slot, r) in handle.join().expect("planner worker") {
-                    per_graph[slot] = r;
-                }
-            }
-        });
-
         let mut stats = PlanStats {
             graphs_enumerated: graphs.len(),
-            prunes: (graphs.len() - viable.len()) as u64,
             ..PlanStats::default()
         };
-        if let Some(table) = &route_table {
-            stats.route_table_build_us = table.build_micros();
-            stats.route_rows_built = net.node_count() as u64;
-        }
-        let mut best: Option<GraphResult> = None;
-        for (result, graph_stats) in per_graph {
-            stats.absorb(&graph_stats);
-            let Some(result) = result else { continue };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    result.eval.objective_value < b.eval.objective_value
-                        || (result.eval.objective_value == b.eval.objective_value
-                            && result.order < b.order)
-                }
-            };
-            if better {
-                best = Some(result);
+
+        // A repair's surviving hosts anchor the composition universe
+        // alongside the request's own anchors.
+        let hier = memo
+            .filter(|_| self.config.hier.is_some())
+            .and_then(|memo| {
+                let survivors: Vec<NodeId> = repair
+                    .map(|ctx| ctx.old_plan.placements.iter().map(|p| p.node).collect())
+                    .unwrap_or_default();
+                self.hier_setup(
+                    net, translator, request, &graphs, memo, &survivors, &mut stats,
+                )
+            });
+        let (mapper, scope, hier) = match hier {
+            Some((mapper, scope, work)) => (mapper, scope, Some(work)),
+            None => {
+                let scope = Scope {
+                    table: self.flat_routes(net, repair, &mut stats),
+                    ..Scope::default()
+                };
+                (self.mapper(net, translator, request, &scope), scope, None)
+            }
+        };
+
+        // Best objective found across graphs; seeds the bounded search so
+        // later graphs are cut against earlier graphs' optima.
+        let incumbent = exhaustive::Incumbent::new();
+        let bounded = self.config.algorithm == Algorithm::Exhaustive;
+        let mut best: Option<Plan> = None;
+        let fixed = repair.map(|ctx| surviving_placements(net, request, ctx));
+        if let (Some(ctx), Some(fixed)) = (repair, &fixed) {
+            let old = &ctx.old_plan.graph;
+            // The seed must live in the current request's graph space: a
+            // plan carried over from a differently-shaped request (e.g. a
+            // degraded-mode detached chain being re-planned on the full
+            // request) would otherwise seed — and on objective could win
+            // — with a graph this request cannot legally produce.
+            if graphs.contains(old) {
+                let inputs = SearchInputs {
+                    bounded,
+                    incumbent: &incumbent,
+                    fixed: Some(fixed),
+                    strictly_better: false,
+                };
+                best = exhaustive::search(&mapper, old, &mut stats, inputs)
+                    .map(|(assignment, eval)| assemble_plan(old, &assignment, eval));
             }
         }
-        let Some(winner) = best else {
+        let seeded = best.is_some();
+        let cuts_before_sweep = stats.bound_prunes;
+
+        // A repair sweep prunes ties (`>=` cuts): `best` always holds a
+        // feasible plan achieving the incumbent's value — the seed, or
+        // the latest strictly-better find — and ties deliberately keep
+        // it (churn minimization), so the plateau of equal-objective
+        // completions is never enumerated.
+        let inputs = SearchInputs {
+            bounded,
+            incumbent: &incumbent,
+            fixed: None,
+            strictly_better: repair.is_some(),
+        };
+        self.sweep(
+            net, translator, request, &graphs, &mapper, &scope, inputs, &mut best, &mut stats,
+        );
+
+        if let Some(work) = &hier {
+            if best.is_none() {
+                // The restricted universe missed every feasible mapping
+                // (e.g. the only installable host sits outside all
+                // shortlists). Correctness over speed: re-plan flat.
+                return self.plan_with(net, translator, request, repair, None);
+            }
+            stats.route_rows_built += work.rows_built();
+            if self.config.hier.as_ref().is_some_and(|cfg| cfg.refine) {
+                // The exact refinement sweep: strict-improvement search
+                // over the full network, warm-started by the composed
+                // incumbent. When it surfaces nothing, the composed plan
+                // *is* the flat optimum.
+                let scope = Scope {
+                    table: self.flat_routes(net, repair, &mut stats),
+                    ..Scope::default()
+                };
+                let full = self.mapper(net, translator, request, &scope);
+                let cuts_before_refine = stats.bound_prunes;
+                let inputs = SearchInputs {
+                    strictly_better: true,
+                    ..inputs
+                };
+                self.sweep(
+                    net, translator, request, &graphs, &full, &scope, inputs, &mut best, &mut stats,
+                );
+                stats.hier_refine_cuts = stats.bound_prunes - cuts_before_refine;
+                stats.hier_refined = true;
+            }
+        }
+
+        let Some(mut plan) = best else {
             return Err(PlanError::NoFeasibleMapping {
                 graphs: graphs.len(),
             });
         };
-        let graph = &graphs[winner.order];
-        self.publish_stats(&stats);
-        let mut plan = assemble_plan(graph, &winner.assignment, winner.eval);
+        if hier.is_some() && !stats.hier_refined {
+            stats.hier_gap_micro = gap_micro(
+                plan.objective_value,
+                self.objective_lower_bound(net, request, &graphs),
+            );
+        }
         plan.stats = stats;
+        plan.repair = fixed.map(|fixed| {
+            let chains_reused = fixed.iter().flatten().count();
+            PlanRepairStats {
+                chains_resolved: fixed.len() - chains_reused,
+                chains_reused,
+                seeded_bound_cuts: stats.bound_prunes - cuts_before_sweep,
+                seeded,
+            }
+        });
+        // Fold the statistics into the configured tracer's registry (a
+        // no-op with the default disabled tracer).
+        let tracer = &self.config.tracer;
+        tracer.count("planner.plans", 1);
+        tracer.count("planner.graphs_enumerated", stats.graphs_enumerated as u64);
+        tracer.count("planner.mappings_evaluated", stats.mappings_evaluated);
+        tracer.count("planner.prunes", stats.prunes);
+        tracer.count("planner.bound_prunes", stats.bound_prunes);
+        tracer.gauge(
+            "planner.route_table_build_wall_us",
+            stats.route_table_build_us as f64,
+        );
+        if let Some(work) = &hier {
+            self.publish_hier(&plan.stats, work);
+        }
+        if let Some(r) = &plan.repair {
+            tracer.count("planner.repairs", 1);
+            tracer.count("planner.repair_chains_resolved", r.chains_resolved as u64);
+            tracer.count("planner.repair_chains_reused", r.chains_reused as u64);
+        }
         Ok(plan)
+    }
+
+    /// The flat path's shared route table, or `None` for lazy
+    /// per-mapper routing when [`PlannerConfig::share_route_table`] is
+    /// off. A repair reuses the previous epoch's table when it is still
+    /// current and otherwise repairs a copy of it (delta Dijkstra: the
+    /// dirty sets are exactly the damage since it was built, so only
+    /// affected sources re-run); everything else builds afresh.
+    fn flat_routes(
+        &self,
+        net: &Network,
+        repair: Option<&RepairContext<'_>>,
+        stats: &mut PlanStats,
+    ) -> Option<Arc<RouteTable>> {
+        if !self.config.share_route_table {
+            return None;
+        }
+        let table = match repair.and_then(|ctx| Some((ctx, ctx.prior_routes.as_ref()?))) {
+            Some((_, prior)) if prior.is_current(net) => Arc::clone(prior),
+            Some((ctx, prior)) => {
+                let mut table = (**prior).clone();
+                let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
+                stats.route_table_build_us += outcome.repair_micros;
+                stats.route_rows_built += outcome.sources_rebuilt as u64;
+                Arc::new(table)
+            }
+            None => {
+                let table = Arc::new(RouteTable::build(net));
+                stats.route_table_build_us += table.build_micros();
+                // A full build runs one Dijkstra per source; recorded so
+                // the deterministic work proxy (`PlanStats::work_units`)
+                // charges flat and hierarchical planning on the same
+                // scale.
+                stats.route_rows_built += net.node_count() as u64;
+                table
+            }
+        };
+        Some(table)
+    }
+
+    /// A mapper for `request` with `scope`'s routes and universe.
+    pub(crate) fn mapper<'a, T: PropertyTranslator + ?Sized>(
+        &'a self,
+        net: &'a Network,
+        translator: &T,
+        request: &'a ServiceRequest,
+        scope: &Scope,
+    ) -> Mapper<'a> {
+        let mut mapper = Mapper::new(
+            &self.spec,
+            net,
+            translator,
+            request,
+            self.config.load_model,
+            self.config.objective,
+        );
+        if let Some(table) = &scope.table {
+            mapper = mapper.with_route_table(Arc::clone(table));
+        }
+        if let Some(scoped) = &scope.scoped {
+            mapper = mapper.with_scoped_routes(Arc::clone(scoped));
+        }
+        if let Some(universe) = &scope.universe {
+            mapper = mapper.with_universe(universe.clone());
+        }
+        mapper
+    }
+
+    /// One pass over every candidate graph: graphs the structural
+    /// pre-filter rules out are skipped, the rest are searched against
+    /// the shared incumbent, and a result replaces `best` only when
+    /// strictly better — so ties resolve by graph order, and an incoming
+    /// repair seed wins them. Runs on [`PlannerConfig::threads`] workers
+    /// (each with its own `scope` mapper; `mapper` serves the serial
+    /// path) unless the search prunes ties, which is serial-only.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep<T: PropertyTranslator + Sync + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        graphs: &[LinkageGraph],
+        mapper: &Mapper<'_>,
+        scope: &Scope,
+        inputs: SearchInputs<'_>,
+        best: &mut Option<Plan>,
+        stats: &mut PlanStats,
+    ) {
+        let viable: Vec<&LinkageGraph> = graphs
+            .iter()
+            .filter(|graph| self.graph_possibly_feasible(graph, request))
+            .collect();
+        stats.prunes += (graphs.len() - viable.len()) as u64;
+        let threads = self.config.threads.min(viable.len());
+        let results = if threads > 1 && !inputs.strictly_better {
+            self.search_parallel(
+                net, translator, request, &viable, scope, inputs, threads, stats,
+            )
+        } else {
+            viable
+                .iter()
+                .map(|graph| exhaustive::search(mapper, graph, stats, inputs))
+                .collect()
+        };
+        for (graph, result) in viable.into_iter().zip(results) {
+            let Some((assignment, eval)) = result else {
+                continue;
+            };
+            if best
+                .as_ref()
+                .is_none_or(|b| eval.objective_value < b.objective_value)
+            {
+                *best = Some(assemble_plan(graph, &assignment, eval));
+            }
+        }
+    }
+
+    /// Searches `graphs` on `threads` workers, one result slot per graph.
+    /// Each worker owns its own mapper (route caches are thread-local)
+    /// while sharing `scope`'s read-only routes and the incumbent: a
+    /// mapping found by any thread bounds every other thread's search.
+    #[allow(clippy::too_many_arguments)]
+    fn search_parallel<T: PropertyTranslator + Sync + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        graphs: &[&LinkageGraph],
+        scope: &Scope,
+        inputs: SearchInputs<'_>,
+        threads: usize,
+        stats: &mut PlanStats,
+    ) -> Vec<Option<(Vec<NodeId>, Evaluation)>> {
+        let mut results = Vec::new();
+        results.resize_with(graphs.len(), || None);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|worker| {
+                    // ps-lint: allow(D004): the documented planner reduction — workers
+                    // fill disjoint result slots and the sweep folds them in slot
+                    // order, independent of thread completion order
+                    s.spawn(move || {
+                        let mapper = self.mapper(net, translator, request, scope);
+                        let mut worker_stats = PlanStats::default();
+                        // Round-robin distribution: consecutive graphs tend
+                        // to share structure (and cost), so striping
+                        // spreads the expensive ones.
+                        let found: Vec<_> = (worker..graphs.len())
+                            .step_by(threads)
+                            .map(|slot| {
+                                let result = exhaustive::search(
+                                    &mapper,
+                                    graphs[slot],
+                                    &mut worker_stats,
+                                    inputs,
+                                );
+                                (slot, result)
+                            })
+                            .collect();
+                        (found, worker_stats)
+                    })
+                })
+                .collect();
+            for handle in handles {
+                // ps-lint: allow(P001): a panicked worker thread must be
+                // re-raised here — swallowing it would return a silently
+                // truncated plan set as if it were the full search result.
+                let (found, worker_stats) = handle.join().expect("planner worker");
+                stats.mappings_evaluated += worker_stats.mappings_evaluated;
+                stats.prunes += worker_stats.prunes;
+                stats.bound_prunes += worker_stats.bound_prunes;
+                for (slot, result) in found {
+                    results[slot] = result;
+                }
+            }
+        });
+        results
     }
 
     /// Cheap structural pre-filter: a graph that uses a component with
@@ -661,10 +614,49 @@ pub(crate) fn assemble_plan(graph: &LinkageGraph, assignment: &[NodeId], eval: E
     }
 }
 
-/// Attaches the shared route table (when one was built) to a mapper.
-fn attach_table<'a>(mapper: Mapper<'a>, table: &Option<Arc<RouteTable>>) -> Mapper<'a> {
-    match table {
-        Some(table) => mapper.with_route_table(Arc::clone(table)),
-        None => mapper,
+/// Per chain position of `ctx.old_plan`, the surviving placement to keep
+/// fixed, or `None` where the damage touched it: its host is down or
+/// dirty, or an edge route it terminates crossed a dirty link or node.
+fn surviving_placements(
+    net: &Network,
+    request: &ServiceRequest,
+    ctx: &RepairContext<'_>,
+) -> Vec<Option<NodeId>> {
+    let old = ctx.old_plan;
+    let mut affected: Vec<bool> = old
+        .placements
+        .iter()
+        .map(|p| !net.node(p.node).up || ctx.dirty_nodes.contains(&p.node))
+        .collect();
+    for edge in &old.edges {
+        let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
+            || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
+        if touched {
+            affected[edge.from] = true;
+            affected[edge.to] = true;
+        }
     }
+    if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
+        // The implicit client → root route is not recorded in the
+        // plan's edges; a free-floating root is conservatively
+        // re-solved whenever anything moved.
+        affected[0] = true;
+    }
+    affected
+        .iter()
+        .zip(&old.placements)
+        .map(|(&aff, p)| (!aff).then_some(p.node))
+        .collect()
+}
+
+/// Route source and candidate universe shared by every mapper of one
+/// planning call (the serial mapper and each parallel worker's).
+#[derive(Default)]
+pub(crate) struct Scope {
+    /// Shared all-pairs table (flat universe).
+    pub(crate) table: Option<Arc<RouteTable>>,
+    /// Lazily built per-source rows (hierarchical universe).
+    pub(crate) scoped: Option<Arc<ScopedRoutes>>,
+    /// Hosts candidates are restricted to; `None` is the whole network.
+    pub(crate) universe: Option<Vec<NodeId>>,
 }

@@ -554,9 +554,12 @@ fn parallel_planning_matches_serial() {
     let request = request(c, s);
     let serial = p.plan(&net, &translator(), &request).unwrap();
     for threads in [1usize, 2, 4, 16] {
-        let parallel = p
-            .plan_parallel(&net, &translator(), &request, threads)
-            .unwrap();
+        let parallel = planner(PlannerConfig {
+            threads,
+            ..PlannerConfig::default()
+        })
+        .plan(&net, &translator(), &request)
+        .unwrap();
         assert_eq!(parallel.graph, serial.graph, "threads={threads}");
         assert_eq!(
             parallel

@@ -328,41 +328,16 @@ impl GenericServer {
                 plan
             }
             None => {
-                let plan = if let Some(ctx) = repair {
+                if repair.is_some() {
                     self.tracer.count("server.plan_repairs", 1);
-                    if self.planner_config.hier.is_some() {
-                        planner.plan_repair_with_memo(
-                            world.network(),
-                            self.translator.as_ref(),
-                            &request,
-                            ctx,
-                            &self.hier_memo,
-                        )?
-                    } else {
-                        planner.plan_repair(
-                            world.network(),
-                            self.translator.as_ref(),
-                            &request,
-                            ctx,
-                        )?
-                    }
-                } else if self.planner_config.hier.is_some() {
-                    planner.plan_hierarchical(
-                        world.network(),
-                        self.translator.as_ref(),
-                        &request,
-                        &self.hier_memo,
-                    )?
-                } else if self.planner_config.threads > 1 {
-                    planner.plan_parallel(
-                        world.network(),
-                        self.translator.as_ref(),
-                        &request,
-                        self.planner_config.threads,
-                    )?
-                } else {
-                    planner.plan(world.network(), self.translator.as_ref(), &request)?
-                };
+                }
+                let plan = planner.plan_with(
+                    world.network(),
+                    self.translator.as_ref(),
+                    &request,
+                    repair,
+                    Some(&self.hier_memo),
+                )?;
                 let mut cache = self
                     .plan_cache
                     .lock()
