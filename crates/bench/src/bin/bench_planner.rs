@@ -1,7 +1,7 @@
 //! Planner hot-path benchmark: seed algorithm vs the optimized path.
 //!
 //! Measures, in one harness, the planning stack as shipped by the seed
-//! (unbounded exhaustive oracle, per-mapper lazy Dijkstra routes,
+//! (unbounded exhaustive oracle, per-mapper unshared lazy route tables,
 //! serial) against the optimized stack (bounded branch-and-bound
 //! exhaustive search, one shared all-pairs [`RouteTable`] per call,
 //! parallel sweep workers) on the case-study topology and progressively
@@ -163,7 +163,7 @@ fn main() {
     let mut log_speedup_sum = 0.0;
     let mut compared = 0usize;
     for (label, net, request) in &scenarios {
-        // The seed stack: unbounded oracle, per-mapper lazy Dijkstra,
+        // The seed stack: unbounded oracle, per-mapper unshared routes,
         // serial planning — the algorithm this repo shipped before the
         // route-table/bounding work, re-run in this very harness.
         let seed = measure(

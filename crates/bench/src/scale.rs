@@ -307,8 +307,8 @@ pub fn measure_route_repair(net: &mut Network, reps: usize, seed: u64) -> RouteR
         let a = NodeId(rng.next_below(net.node_count() as u64) as u32);
         let b = NodeId(rng.next_below(net.node_count() as u64) as u32);
         assert_eq!(
-            repaired.latency(a, b),
-            rebuilt.latency(a, b),
+            repaired.latency(net, a, b),
+            rebuilt.latency(net, a, b),
             "repaired table diverges from full rebuild at {a} -> {b}"
         );
     }

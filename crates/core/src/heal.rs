@@ -12,7 +12,7 @@
 
 use crate::Framework;
 use ps_monitor::{affected_edges, NetworkChange, NetworkMonitor, ReplanDecision, Replanner};
-use ps_net::{LinkId, NodeId, PartitionView, RouteTable};
+use ps_net::{LinkId, NodeId, PartitionView, Refresh, RouteTable};
 use ps_planner::{PlanRepairStats, Planner, RepairContext, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_smock::{ConnectError, Connection, FailReport, InstanceId, LivenessEvent, LivenessKind};
@@ -93,6 +93,8 @@ pub(crate) struct Healer {
     /// monitor observation; the monitor diff is complete with respect to
     /// everything the route metric reads (link liveness / latency /
     /// credentials, node liveness), so unaffected rows stay exact.
+    /// Kept only while the planner reads it: a shared table on flat
+    /// planning or the hierarchical refinement sweep; `None` otherwise.
     pub(crate) route_table: Option<Arc<RouteTable>>,
     /// Hosts whose instance leases expired recently, mapped to the
     /// virtual time their suspicion ends (one full detection window
@@ -475,40 +477,38 @@ impl Framework {
         // Maintain the shared all-pairs route table incrementally: the
         // cached table is valid as of the previous observation, and the
         // dirty sets are exactly what changed since, so delta-Dijkstra
-        // repair re-runs only the affected sources.
-        if self.server.planner_config.share_route_table {
-            let net = self.world.network();
-            let table = match healer.route_table.take() {
-                Some(prior) if prior.is_current(net) => prior,
-                Some(prior) => {
-                    let mut table = Arc::unwrap_or_clone(prior);
-                    let outcome = table.repair(net, &dirty_links, &dirty_nodes);
-                    let tracer = self.server.tracer();
-                    tracer.count(
-                        if outcome.full_rebuild {
-                            "heal.route_rebuilds"
-                        } else {
-                            "heal.route_repairs"
-                        },
-                        1,
-                    );
-                    tracer.observe("heal.route_repair_wall_us", outcome.repair_micros as f64);
-                    Arc::new(table)
-                }
-                None => Arc::new(RouteTable::build(net)),
-            };
-            healer.route_table = Some(table);
-        }
+        // repair re-runs only the affected sources. Hierarchical planning
+        // routes through its memo's lazy table and reads the carried one
+        // only in the refinement sweep, so without that sweep nothing is
+        // maintained.
+        let config = &self.server.planner_config;
+        let reads_table =
+            config.share_route_table && config.hier.as_ref().is_none_or(|hier| hier.refine);
+        healer.route_table = reads_table.then(|| {
+            let (table, refresh) = RouteTable::refresh(
+                healer.route_table.take(),
+                self.world.network(),
+                &dirty_links,
+                &dirty_nodes,
+            );
+            if let Refresh::Repaired(outcome) = refresh {
+                let tracer = self.server.tracer();
+                tracer.count(
+                    if outcome.full_rebuild {
+                        "heal.route_rebuilds"
+                    } else {
+                        "heal.route_repairs"
+                    },
+                    1,
+                );
+                tracer.observe("heal.route_repair_wall_us", outcome.repair_micros as f64);
+            }
+            table
+        });
 
         // The pass's partition view: connected components over the live
-        // link set, read off the just-repaired route table when one is
-        // maintained (free), or by direct BFS otherwise.
-        let pview = match healer.route_table.as_deref() {
-            Some(table) if table.is_current(self.world.network()) => {
-                table.partition_view(self.world.network())
-            }
-            _ => PartitionView::of(self.world.network()),
-        };
+        // link set.
+        let pview = PartitionView::of(self.world.network());
 
         // Step 3: triage every managed connection. The managed list is
         // taken out of the healer so redeployments can borrow the

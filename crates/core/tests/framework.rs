@@ -1,10 +1,11 @@
 //! Facade-level tests of the assembled framework.
 
 use ps_core::Framework;
-use ps_net::{Credentials, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::{PlannerConfig, ServiceRequest};
+use ps_net::{Credentials, LinkId, Mapping, MappingTranslator, Network, NodeId};
+use ps_planner::{HierConfig, PlannerConfig, ServiceRequest};
 use ps_smock::{ComponentLogic, Outbox, Payload, RequestHandle, ServiceRegistration};
 use ps_spec::prelude::*;
+use ps_trace::Tracer;
 
 struct Echo;
 impl ComponentLogic for Echo {
@@ -103,4 +104,33 @@ fn install_primary_requires_a_known_service_and_factory() {
     assert!(fw.install_primary("echo", "NoFactory", host).is_err());
     let id = fw.install_primary("echo", "Service", host).unwrap();
     assert_eq!(fw.world.instance(id).component, "Service");
+}
+
+/// The heal pass keeps its carried all-pairs route table up to date only
+/// while the planner reads it: flat planning repairs it after damage,
+/// hierarchical planning (which routes through its memo's lazily built
+/// table) maintains none.
+#[test]
+fn heal_maintains_the_carried_route_table_only_for_flat_planning() {
+    for (hier, maintained) in [(None, true), (Some(HierConfig::default()), false)] {
+        let (mut fw, client, _) = build();
+        fw.planner_config(PlannerConfig {
+            hier: hier.clone(),
+            ..Default::default()
+        });
+        let tracer = Tracer::null();
+        fw.set_tracer(tracer.clone());
+        let request = ServiceRequest::new("Api", client);
+        let conn = fw.connect("echo", &request).expect("connects");
+        fw.manage("echo", request, conn);
+        fw.heal();
+        fw.world
+            .update_link(LinkId(0), ps_sim::SimDuration::from_millis(20), 1e8);
+        let report = fw.heal();
+        assert!(!report.changes.is_empty(), "the pass takes damage");
+        let registry = tracer.registry().expect("an enabled tracer");
+        let upkeep =
+            registry.counter("heal.route_repairs") + registry.counter("heal.route_rebuilds");
+        assert_eq!(upkeep > 0, maintained, "hier config {hier:?}: {upkeep}");
+    }
 }

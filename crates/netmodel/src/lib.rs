@@ -9,9 +9,13 @@
 //! * [`Network`] — the annotated graph, with [`graph::Credentials`] on
 //!   nodes and links;
 //! * [`shortest_route`] — policy-aware routing (insecure hops, then
-//!   latency) used to map component linkages onto multi-hop paths;
-//! * [`RouteTable`] — an immutable all-pairs route table built once per
-//!   [`Network`] epoch and shared read-only across planner workers;
+//!   latency, then hops) for a single pair;
+//! * [`RouteTable`] — the route oracle the planner maps component
+//!   linkages with: per-source rows built on first query (or all at
+//!   once), shared lock-free across planner workers, stamped with the
+//!   [`Network`] epoch and repaired incrementally after changes;
+//! * [`PartitionView`] — the live network's connected components, for
+//!   partition-aware healing;
 //! * [`PropertyTranslator`] / [`MappingTranslator`] — the credential →
 //!   service-property translation machinery;
 //! * [`brite`] — BRITE-style topology generators (Waxman,
@@ -33,9 +37,9 @@ pub mod translate;
 pub use casestudy::{default_case_study, CaseStudy};
 pub use graph::{Credentials, Link, LinkId, Network, Node, NodeId};
 pub use partition::PartitionView;
-pub use path::{routes_from, shortest_route, Route};
+pub use path::{shortest_route, Route};
 pub use regions::{Region, RegionMap};
-pub use route_table::{RepairOutcome, RouteTable, ScopedRoutes};
+pub use route_table::{Refresh, RepairOutcome, RouteTable};
 pub use translate::{Mapping, MappingTranslator, PropertyTranslator};
 
 /// Convenience prelude for network-model users.
@@ -44,8 +48,8 @@ pub mod prelude {
     pub use crate::casestudy::{build as build_case_study, default_case_study, CaseStudy};
     pub use crate::graph::{Credentials, Link, LinkId, Network, Node, NodeId};
     pub use crate::partition::PartitionView;
-    pub use crate::path::{routes_from, shortest_route, Route};
+    pub use crate::path::{shortest_route, Route};
     pub use crate::regions::{Region, RegionMap};
-    pub use crate::route_table::{RepairOutcome, RouteTable, ScopedRoutes};
+    pub use crate::route_table::{Refresh, RepairOutcome, RouteTable};
     pub use crate::translate::{Mapping, MappingTranslator, PropertyTranslator};
 }

@@ -9,15 +9,11 @@
 //! the [`Network`] epoch it was computed at (the *partition epoch* that
 //! degraded-mode linkages are tagged with).
 //!
-//! Two construction paths produce identical views:
-//!
-//! * [`PartitionView::of`] — a breadth-first sweep over the live
-//!   adjacency, independent of any route table;
-//! * [`RouteTable::partition_view`](crate::RouteTable::partition_view)
-//!   — derived from the incrementally-repaired reachability matrix the
-//!   healer already maintains, so a heal pass gets the component view
-//!   for free after [`RouteTable::repair`](crate::RouteTable::repair)
-//!   has re-run only the affected sources.
+//! [`PartitionView::of`] is the only builder: one breadth-first sweep
+//! over the live adjacency, `O(n + m)`, independent of any route table.
+//! Its components agree pairwise with
+//! [`RouteTable::reachable`](crate::RouteTable::reachable) on the same
+//! network, which the tests below cross-check after repairs.
 //!
 //! Components are ordered by their smallest member id and each
 //! component's nodes are sorted ascending, so the view is deterministic
@@ -75,23 +71,6 @@ impl PartitionView {
             components,
             membership,
             epoch: net.epoch(),
-        }
-    }
-
-    /// Builds a view directly from component membership data (used by
-    /// [`RouteTable::partition_view`](crate::RouteTable::partition_view)).
-    pub(crate) fn from_membership(membership: Vec<Option<usize>>, epoch: u64) -> Self {
-        let count = membership.iter().flatten().max().map_or(0, |m| m + 1);
-        let mut components = vec![Vec::new(); count];
-        for (node, slot) in membership.iter().enumerate() {
-            if let Some(index) = slot {
-                components[*index].push(NodeId(node as u32));
-            }
-        }
-        PartitionView {
-            components,
-            membership,
-            epoch,
         }
     }
 
@@ -206,14 +185,41 @@ mod tests {
         assert!(!view.same_component(cs.seattle_client, cs.ny_gateway));
     }
 
+    /// Asserts the view's components agree pairwise with the table's
+    /// reachability: two up nodes share a component exactly when one
+    /// reaches the other, and down nodes belong to no component.
+    fn assert_agrees_with_table(
+        view: &PartitionView,
+        table: &RouteTable,
+        net: &Network,
+        context: &str,
+    ) {
+        for a in net.node_ids() {
+            assert_eq!(
+                view.component_of(a).is_some(),
+                net.node(a).up,
+                "{context}: {a} membership"
+            );
+            for b in net.node_ids() {
+                if net.node(a).up && net.node(b).up {
+                    assert_eq!(
+                        view.same_component(a, b),
+                        table.reachable(net, a, b),
+                        "{context}: {a} ~ {b}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn bfs_and_route_table_views_agree() {
+    fn bfs_view_agrees_with_repaired_route_table() {
         let cs = default_case_study();
         let mut net = cs.network.clone();
         let mut table = RouteTable::build(&net);
         // Progressive damage: sever one WAN leg, then the other, then a
-        // whole site's gateway; after each step the repaired table's
-        // view must equal the from-scratch BFS view.
+        // whole site's gateway; after each step the BFS view must agree
+        // with the repaired table's reachability.
         let legs: Vec<LinkId> = net
             .links()
             .iter()
@@ -227,12 +233,12 @@ mod tests {
         for leg in &legs {
             net.set_link_up(*leg, false);
             table.repair(&net, &[*leg], &[]);
-            assert_eq!(table.partition_view(&net), PartitionView::of(&net));
+            assert_agrees_with_table(&PartitionView::of(&net), &table, &net, "WAN leg");
         }
         net.set_node_up(cs.sd_gateway, false);
         table.repair(&net, &[], &[cs.sd_gateway]);
-        let view = table.partition_view(&net);
-        assert_eq!(view, PartitionView::of(&net));
+        let view = PartitionView::of(&net);
+        assert_agrees_with_table(&view, &table, &net, "gateway down");
         assert_eq!(view.component_count(), 3, "NY | SD hosts | SEA");
     }
 
@@ -246,11 +252,11 @@ mod tests {
     }
 
     /// Property check on random topologies: after arbitrary damage, the
-    /// BFS-fallback view, the freshly-rebuilt route table's view, and
-    /// the incrementally-repaired route table's view are all identical —
-    /// components, membership, and epoch stamp alike.
+    /// BFS view agrees pairwise with both a freshly built route table's
+    /// and an incrementally repaired one's reachability, and carries the
+    /// damaged network's epoch.
     #[test]
-    fn bfs_fallback_matches_route_table_on_random_graphs() {
+    fn bfs_view_agrees_with_route_tables_on_random_graphs() {
         use crate::graph::Credentials;
         use ps_sim::SimDuration;
 
@@ -291,18 +297,11 @@ mod tests {
             }
 
             let bfs = PartitionView::of(&net);
+            assert_eq!(bfs.epoch(), net.epoch(), "seed {seed}");
             let rebuilt = RouteTable::build(&net);
-            assert_eq!(
-                rebuilt.partition_view(&net),
-                bfs,
-                "seed {seed}: rebuilt table view diverged from BFS"
-            );
+            assert_agrees_with_table(&bfs, &rebuilt, &net, &format!("seed {seed} rebuilt"));
             table.repair(&net, &dead_links, &dead_nodes);
-            assert_eq!(
-                table.partition_view(&net),
-                bfs,
-                "seed {seed}: repaired table view diverged from BFS"
-            );
+            assert_agrees_with_table(&bfs, &table, &net, &format!("seed {seed} repaired"));
         }
     }
 }

@@ -1,30 +1,40 @@
-//! A shared all-pairs route table (one Dijkstra tree per source).
+//! The route oracle: one shortest-path tree per source, built on first
+//! query.
 //!
-//! The planner's hot path asks for routes between many node pairs, for
-//! many candidate mappings, across many worker threads. Re-running
-//! Dijkstra per query (or keeping a per-worker memo) repeats the same
-//! work once per worker; instead, [`RouteTable::build`] computes every
-//! source's shortest-path tree once and stores the predecessor links in
-//! flat arrays. The table is immutable afterwards — share it across
-//! threads behind an [`std::sync::Arc`] and answer route queries by
-//! walking the predecessor chain (allocation happens only for the
-//! returned [`Route`], not during lookup bookkeeping).
+//! The planner maps every linkage edge onto a multi-hop route (paper
+//! §3.3), for many candidate mappings, across many worker threads.
+//! [`RouteTable`] answers those queries from per-source Dijkstra trees
+//! stored as predecessor rows. A row is built the first time its source
+//! is queried and is read lock-free afterwards, so one table can be
+//! shared across threads behind an [`std::sync::Arc`]:
+//!
+//! * [`RouteTable::new`] starts with no rows — the hierarchical planner
+//!   touches a handful of sources (client, pinned hosts, gateways) and
+//!   pays for exactly those;
+//! * [`RouteTable::build`] builds every row up front — the flat
+//!   planner's shared all-pairs table. "Eager" only means "all rows
+//!   built"; queries answer identically either way.
+//!
+//! Every row comes from the same `dijkstra_tree` / `reconstruct` pair
+//! as [`crate::shortest_route`], so every answer is bit-identical to it,
+//! deterministic tie-breaks included.
 //!
 //! Staleness is detected through the [`Network`] epoch counter: the
-//! table records `net.epoch()` at build time and [`RouteTable::is_current`]
-//! compares it against the live graph, so callers rebuild exactly when
-//! the topology or a credential changed.
+//! table records `net.epoch()` and [`RouteTable::is_current`] compares it
+//! against the live graph. Every query takes the network and, in debug
+//! builds, asserts it.
 //!
 //! ## Incremental repair
 //!
 //! A full build is `n` Dijkstra runs; at a thousand routers that is the
 //! dominant cost of every heal pass even when a single link flapped.
-//! [`RouteTable::repair`] instead classifies each *source* as affected
-//! or not by the reported changes and re-runs Dijkstra only for the
-//! affected sources (delta-Dijkstra at source granularity — exactly
+//! [`RouteTable::repair`] instead classifies each *built* row as
+//! affected or not by the reported changes and re-runs Dijkstra only for
+//! the affected ones (delta-Dijkstra at source granularity — exactly
 //! equivalent to a full rebuild, including deterministic tie-breaks,
 //! because each rebuilt tree is produced by the very same
-//! `dijkstra_tree`). A source `s` is affected when:
+//! `dijkstra_tree`). Rows never built stay unbuilt: they are built from
+//! the live graph on first query. A source `s` is affected when:
 //!
 //! - a touched link is a tree edge of `s`'s old tree (the link may have
 //!   worsened or vanished), or
@@ -38,26 +48,30 @@
 //! - a touched node came (back) up and one of its incident links passes
 //!   the relaxation test above.
 //!
-//! When more than [`REPAIR_DAMAGE_THRESHOLD`] of sources are affected
-//! the repair falls back to a full rebuild — the classification sweep
-//! is cheap, so the fallback costs one extra `O(n · deg)` pass.
+//! When more than [`REPAIR_DAMAGE_THRESHOLD`] of the built rows are
+//! affected the repair re-runs every built row instead — the
+//! classification sweep is cheap, so the fallback costs one extra
+//! `O(n · deg)` pass.
+//!
+//! [`RouteTable::refresh`] is the one upkeep policy for a table carried
+//! across network changes: reuse it when current, repair a copy when
+//! stale, build one when none is carried.
 
 use crate::graph::{LinkId, Network, NodeId};
-use crate::partition::PartitionView;
 use crate::path::{dijkstra_tree, reconstruct, Route, RouteCost, UNREACHED};
 use ps_sim::SimDuration;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, OnceLock};
 
-/// Fraction of sources above which [`RouteTable::repair`] rebuilds the
-/// whole table instead of repairing per-source (numerator/denominator).
+/// Fraction of built rows above which [`RouteTable::repair`] re-runs
+/// every built row instead of repairing per source
+/// (numerator/denominator).
 pub const REPAIR_DAMAGE_THRESHOLD: (usize, usize) = (1, 4);
 
 /// What [`RouteTable::repair`] did, for perf accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairOutcome {
-    /// Whether the damage threshold (or a node-count change) forced a
-    /// full rebuild.
+    /// Whether the damage threshold (or a node-count change) forced
+    /// every built row to re-run.
     pub full_rebuild: bool,
     /// Sources whose Dijkstra tree was re-run.
     pub sources_rebuilt: usize,
@@ -68,88 +82,136 @@ pub struct RepairOutcome {
     pub repair_micros: u64,
 }
 
-/// Immutable all-pairs routing table for one network epoch.
-///
-/// Built once per epoch via per-source Dijkstra; `route(from, to)`
-/// reconstructs the stored tree path on demand. Results are identical to
-/// [`crate::shortest_route`] for every pair (same metric, same
-/// deterministic tie-breaks).
+/// How [`RouteTable::refresh`] brought a carried table up to the live
+/// network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refresh {
+    /// The carried table was current and is shared as is.
+    Reused,
+    /// A copy of the stale carried table was repaired.
+    Repaired(RepairOutcome),
+    /// No table was carried: a new one was built with every row.
+    Built,
+}
+
+/// One source's shortest-path tree.
+#[derive(Debug, Clone)]
+struct Row {
+    /// Cost to each destination (`UNREACHED` when disconnected).
+    dist: Vec<RouteCost>,
+    /// Last tree edge into each destination.
+    prev: Vec<Option<(NodeId, LinkId)>>,
+}
+
+impl Row {
+    fn build(net: &Network, from: NodeId) -> Row {
+        let mut row = Row {
+            dist: Vec::new(),
+            prev: Vec::new(),
+        };
+        row.rerun(net, from);
+        row
+    }
+
+    fn rerun(&mut self, net: &Network, from: NodeId) {
+        let n = net.node_count();
+        self.dist.resize(n, UNREACHED);
+        self.prev.resize(n, None);
+        dijkstra_tree(net, from, None, &mut self.dist, &mut self.prev);
+    }
+}
+
+/// The route oracle for one network epoch: per-source routing rows,
+/// each built on first query (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    /// Epoch of the network this table was built from.
+    /// Epoch of the network the rows reflect.
     epoch: u64,
-    /// Number of nodes at build time.
-    n: usize,
-    /// Predecessor matrix: `prev[src * n + dst]` is the last tree edge
-    /// into `dst` on the shortest path from `src`.
-    prev: Vec<Option<(NodeId, LinkId)>>,
-    /// Cost matrix, same indexing (`UNREACHED` when disconnected).
-    dist: Vec<RouteCost>,
-    /// Wall-clock time spent building, in microseconds.
+    /// One slot per source node; filled on first query.
+    rows: Vec<OnceLock<Row>>,
+    /// Wall-clock time [`RouteTable::build`] spent, in microseconds.
     build_micros: u64,
-    /// Number of [`RouteTable::repair`] passes applied since the full
-    /// build (0 for a freshly built table).
-    generation: u64,
 }
 
 impl RouteTable {
-    /// Builds the table from the network's current state: one full
-    /// Dijkstra per source node.
+    /// A table bound to the network's current epoch with no rows built.
+    /// No Dijkstra runs until the first query.
+    pub fn new(net: &Network) -> Self {
+        RouteTable {
+            epoch: net.epoch(),
+            rows: (0..net.node_count()).map(|_| OnceLock::new()).collect(),
+            build_micros: 0,
+        }
+    }
+
+    /// A table with every row built: one full Dijkstra per source node.
     pub fn build(net: &Network) -> Self {
         // Wall-clock accounting only: `build_micros` flows into
         // `PlanStats` / registry `_wall_` metrics and is never consulted
         // by any virtual-time or planning decision.
         let started = ps_trace::WallTimer::start();
-        let n = net.node_count();
-        let mut prev = vec![None; n * n];
-        let mut dist = vec![UNREACHED; n * n];
-        for src in 0..n {
-            let (d, p) = (
-                &mut dist[src * n..(src + 1) * n],
-                &mut prev[src * n..(src + 1) * n],
-            );
-            dijkstra_tree(net, NodeId(src as u32), None, d, p);
+        let mut table = RouteTable::new(net);
+        for from in net.node_ids() {
+            table.row(net, from);
         }
-        RouteTable {
-            epoch: net.epoch(),
-            n,
-            prev,
-            dist,
-            build_micros: started.elapsed_micros(),
-            generation: 0,
+        table.build_micros = started.elapsed_micros();
+        table
+    }
+
+    /// The one upkeep policy for a table carried across network
+    /// changes: a current `prior` is shared as is, a stale one is
+    /// copied and [`repair`](Self::repair)ed from the touched sets
+    /// (which must cover everything that changed since it was current),
+    /// and without one a table is built with every row.
+    pub fn refresh(
+        prior: Option<Arc<RouteTable>>,
+        net: &Network,
+        touched_links: &[LinkId],
+        touched_nodes: &[NodeId],
+    ) -> (Arc<RouteTable>, Refresh) {
+        match prior {
+            Some(prior) if prior.is_current(net) => (prior, Refresh::Reused),
+            Some(prior) => {
+                let mut table = Arc::unwrap_or_clone(prior);
+                let outcome = table.repair(net, touched_links, touched_nodes);
+                (Arc::new(table), Refresh::Repaired(outcome))
+            }
+            None => (Arc::new(RouteTable::build(net)), Refresh::Built),
         }
     }
 
-    /// The network epoch this table reflects: the build epoch for a
-    /// fresh table, the post-repair epoch after [`RouteTable::repair`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of repair passes applied since the full build.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Whether the table still reflects `net` (same epoch). This is the
-    /// single staleness authority for both fresh and repaired tables:
-    /// [`RouteTable::repair`] advances the recorded epoch to the
-    /// network's, so a repaired table reports current until the next
-    /// mutation.
+    /// Whether the table still reflects `net` (same epoch and node
+    /// count). The single staleness authority: [`RouteTable::repair`]
+    /// advances the recorded epoch to the network's, so a repaired table
+    /// reports current until the next mutation.
     pub fn is_current(&self, net: &Network) -> bool {
-        self.epoch == net.epoch() && self.n == net.node_count()
+        self.epoch == net.epoch() && self.rows.len() == net.node_count()
     }
 
-    /// Incrementally repairs the table after the reported changes,
-    /// producing a table identical to `RouteTable::build(net)` (same
-    /// routes, same deterministic tie-breaks).
+    /// Number of source rows built so far. Deterministic for a
+    /// deterministic query sequence, so it doubles as the planner's
+    /// routing-work metric in stable-mode artifacts.
+    pub fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|row| row.get().is_some()).count()
+    }
+
+    /// Wall-clock time [`RouteTable::build`] spent, in microseconds (0
+    /// for a table made by [`RouteTable::new`]).
+    pub fn build_micros(&self) -> u64 {
+        self.build_micros
+    }
+
+    /// Incrementally repairs the built rows after the reported changes:
+    /// afterwards every query answers exactly like a fresh
+    /// [`RouteTable::build`] (same routes, same deterministic
+    /// tie-breaks). Never builds a row that was not built before.
     ///
     /// `touched_links` / `touched_nodes` must cover *every* link and
     /// node whose routing-relevant state (up flag, latency, `Secure`
     /// credential, or an endpoint's up flag via `touched_nodes`)
     /// changed since the epoch this table reflects; extra entries cost
-    /// only wasted re-runs, missing ones silently corrupt routes. Falls
-    /// back to a full rebuild when the damage exceeds
+    /// only wasted re-runs, missing ones silently corrupt routes.
+    /// Re-runs every built row when the damage exceeds
     /// [`REPAIR_DAMAGE_THRESHOLD`] or the node count changed.
     pub fn repair(
         &mut self,
@@ -158,60 +220,70 @@ impl RouteTable {
         touched_nodes: &[NodeId],
     ) -> RepairOutcome {
         let started = ps_trace::WallTimer::start();
-        let n = self.n;
-        if net.node_count() != n {
-            return self.rebuild_all(net, started);
-        }
-        let affected = self.classify_affected(net, touched_links, touched_nodes);
-
-        let sources_rebuilt = affected.iter().filter(|&&a| a).count();
+        let sources_total = net.node_count();
+        let affected = (self.rows.len() == sources_total)
+            .then(|| self.classify_affected(net, touched_links, touched_nodes));
+        let built = self.rows_built();
         let (num, den) = REPAIR_DAMAGE_THRESHOLD;
-        if sources_rebuilt * den > n * num {
-            return self.rebuild_all(net, started);
-        }
+        let mut sources_rebuilt = affected
+            .as_ref()
+            .map_or(built, |a| a.iter().filter(|&&a| a).count());
+        let full_rebuild = affected.is_none() || sources_rebuilt * den > built * num;
 
-        // Patch unaffected rows: a down node becomes unreachable as a
-        // leaf without disturbing the rest of the tree.
-        for &node in touched_nodes {
-            if !net.node(node).up {
-                for (s, _) in affected.iter().enumerate().filter(|&(_, &a)| !a) {
-                    self.dist[s * n + node.0 as usize] = UNREACHED;
-                    self.prev[s * n + node.0 as usize] = None;
+        match affected {
+            Some(affected) if !full_rebuild => {
+                for (s, (slot, hit)) in self.rows.iter_mut().zip(affected).enumerate() {
+                    let Some(row) = slot.get_mut() else {
+                        continue;
+                    };
+                    if hit {
+                        row.rerun(net, NodeId(s as u32));
+                        continue;
+                    }
+                    // A down node becomes unreachable as a leaf without
+                    // disturbing the rest of the tree.
+                    for &node in touched_nodes {
+                        if !net.node(node).up {
+                            row.dist[node.0 as usize] = UNREACHED;
+                            row.prev[node.0 as usize] = None;
+                        }
+                    }
                 }
             }
-        }
-        for (s, _) in affected.iter().enumerate().filter(|&(_, &a)| a) {
-            let (d, p) = (
-                &mut self.dist[s * n..(s + 1) * n],
-                &mut self.prev[s * n..(s + 1) * n],
-            );
-            dijkstra_tree(net, NodeId(s as u32), None, d, p);
+            _ => {
+                self.rows.resize_with(sources_total, OnceLock::new);
+                for (s, slot) in self.rows.iter_mut().enumerate() {
+                    if let Some(row) = slot.get_mut() {
+                        row.rerun(net, NodeId(s as u32));
+                    }
+                }
+                sources_rebuilt = self.rows_built();
+            }
         }
         self.epoch = net.epoch();
-        self.generation += 1;
         RepairOutcome {
-            full_rebuild: false,
+            full_rebuild,
             sources_rebuilt,
-            sources_total: n,
+            sources_total,
             repair_micros: started.elapsed_micros(),
         }
     }
 
-    /// Dry-run damage assessment: how many sources a
+    /// Dry-run damage assessment: how many built rows a
     /// [`RouteTable::repair`] with these dirty sets would re-run
-    /// Dijkstra for, without mutating the table. Returns `n` (every
-    /// source) when the node count changed. Callers use this to decide
-    /// between scheduling a repair and a rebuild — or, in benches, to
-    /// find damage that stays localized — at classification cost
-    /// (linear in sources) instead of paying for the repair itself.
+    /// Dijkstra for, without mutating the table. Returns every built row
+    /// when the node count changed. Callers use this to decide between
+    /// scheduling a repair and a rebuild — or, in benches, to find
+    /// damage that stays localized — at classification cost (linear in
+    /// sources) instead of paying for the repair itself.
     pub fn affected_sources(
         &self,
         net: &Network,
         touched_links: &[LinkId],
         touched_nodes: &[NodeId],
     ) -> usize {
-        if net.node_count() != self.n {
-            return self.n;
+        if net.node_count() != self.rows.len() {
+            return self.rows_built();
         }
         self.classify_affected(net, touched_links, touched_nodes)
             .iter()
@@ -221,15 +293,15 @@ impl RouteTable {
 
     /// Per-source affected classification shared by
     /// [`RouteTable::repair`] and [`RouteTable::affected_sources`]: a
-    /// source must re-run when its old tree used a touched element or a
-    /// touched element could now improve (or tie) its row.
+    /// built row must re-run when its old tree used a touched element or
+    /// a touched element could now improve (or tie) it. Unbuilt rows are
+    /// never affected.
     fn classify_affected(
         &self,
         net: &Network,
         touched_links: &[LinkId],
         touched_nodes: &[NodeId],
     ) -> Vec<bool> {
-        let n = self.n;
         // Relaxes `link` from `from` against a source's old distances;
         // `None` when `from` was unreached.
         let relax = |row: &[RouteCost], from: NodeId, link_id: LinkId| -> Option<RouteCost> {
@@ -262,241 +334,84 @@ impl RouteTable {
                 || row_prev[link.a.0 as usize] == Some((link.b, link_id))
         };
 
-        let mut affected = vec![false; n];
-        for &NodeId(d) in touched_nodes {
-            // The touched node's own tree is always re-run (cheap: a
-            // down source yields an all-UNREACHED row immediately).
-            affected[d as usize] = true;
-        }
-        for (s, slot) in affected.iter_mut().enumerate() {
-            if *slot {
-                continue;
-            }
-            let row = &self.dist[s * n..(s + 1) * n];
-            let row_prev = &self.prev[s * n..(s + 1) * n];
-            let hit = touched_nodes.iter().any(|&node| {
-                if net.node(node).up {
-                    // Restarted node: new routes can only enter through
-                    // an incident link, so the relaxation test on them
-                    // catches every improvement or tie.
-                    net.neighbours(node)
-                        .iter()
-                        .any(|&(_, link_id)| link_improves(row, link_id))
-                } else {
-                    // Down node: only sources routing *through* it need
-                    // a re-run; leaves are patched below.
-                    net.neighbours(node)
-                        .iter()
-                        .any(|&(v, _)| row_prev[v.0 as usize].is_some_and(|(p, _)| p == node))
-                }
-            }) || touched_links
-                .iter()
-                .any(|&link_id| tree_uses(row_prev, link_id) || link_improves(row, link_id));
-            *slot = hit;
-        }
-        affected
-    }
-
-    /// Full-rebuild fallback for [`RouteTable::repair`]; keeps the
-    /// repair-generation lineage so stale-read diagnostics can tell a
-    /// repaired table from a fresh one.
-    fn rebuild_all(&mut self, net: &Network, started: ps_trace::WallTimer) -> RepairOutcome {
-        let generation = self.generation + 1;
-        *self = RouteTable::build(net);
-        self.generation = generation;
-        RepairOutcome {
-            full_rebuild: true,
-            sources_rebuilt: self.n,
-            sources_total: self.n,
-            repair_micros: started.elapsed_micros(),
-        }
-    }
-
-    /// Wall-clock build time in microseconds.
-    pub fn build_micros(&self) -> u64 {
-        self.build_micros
-    }
-
-    /// Number of nodes covered.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// The route from `from` to `to`, or `None` when unreachable.
-    /// Identical to [`crate::shortest_route`] on the network the table
-    /// was built from. `net` is only consulted for link bandwidths
-    /// during reconstruction; it must be the same (unchanged) network.
-    pub fn route(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Route> {
-        debug_assert!(
-            self.is_current(net),
-            "route table is stale: built at epoch {} (repair generation {}), network at {}",
-            self.epoch,
-            self.generation,
-            net.epoch()
-        );
-        let src = from.0 as usize;
-        let slice = src * self.n..(src + 1) * self.n;
-        reconstruct(net, from, to, &self.dist[slice.clone()], &self.prev[slice])
-    }
-
-    /// Whether `to` is reachable from `from`.
-    pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        from == to || self.dist[from.0 as usize * self.n + to.0 as usize].1 != u64::MAX
-    }
-
-    /// The connected components of the live subgraph, derived from this
-    /// table's reachability matrix (identical to
-    /// [`PartitionView::of`]`(net)` when the table is current). After a
-    /// [`repair`](Self::repair) pass has re-run only the affected
-    /// sources, this hands the healer partition detection without
-    /// another graph traversal: one scan of the distance rows.
-    pub fn partition_view(&self, net: &Network) -> PartitionView {
-        debug_assert!(self.is_current(net), "partition view needs a current table");
-        let mut membership: Vec<Option<usize>> = vec![None; self.n];
-        let mut count = 0;
-        for source in 0..self.n {
-            let node = NodeId(source as u32);
-            if membership[source].is_some() || !net.node(node).up {
-                continue;
-            }
-            let index = count;
-            count += 1;
-            membership[source] = Some(index);
-            // Reachability is symmetric (links are bidirectional), so
-            // one row labels the whole component.
-            for (target, slot) in membership.iter_mut().enumerate().skip(source + 1) {
-                let other = NodeId(target as u32);
-                if slot.is_none() && net.node(other).up && self.reachable(node, other) {
-                    *slot = Some(index);
-                }
-            }
-        }
-        PartitionView::from_membership(membership, self.epoch)
-    }
-
-    /// One-way propagation latency from `from` to `to`, without
-    /// materializing the route. `None` when unreachable.
-    pub fn latency(&self, from: NodeId, to: NodeId) -> Option<SimDuration> {
-        if from == to {
-            return Some(SimDuration::ZERO);
-        }
-        let ns = self.dist[from.0 as usize * self.n + to.0 as usize].1;
-        (ns != u64::MAX).then(|| SimDuration::from_nanos(ns))
-    }
-}
-
-/// Lazily built per-source routing rows over the full graph.
-///
-/// A full [`RouteTable`] runs one Dijkstra per source — `n` heap passes
-/// up front, ~135 ms at a thousand routers. The hierarchical planner
-/// only ever asks for routes *from* a handful of sources (the client,
-/// pinned hosts, gateways of the regions a chain transits), so
-/// `ScopedRoutes` builds exactly those rows, on first use, behind a
-/// mutex. Each row is produced by the very same
-/// [`dijkstra_tree`] / [`reconstruct`] pair the full table uses, so
-/// every answered query is bit-identical to [`RouteTable::route`] —
-/// including deterministic tie-breaks — just restricted to the sources
-/// actually touched.
-///
-/// Staleness mirrors [`RouteTable::is_current`]: the structure records
-/// the build epoch and callers must discard it when the network moves
-/// on (there is no incremental repair — rebuilding a handful of lazy
-/// rows is cheaper than classifying damage).
-#[derive(Debug)]
-pub struct ScopedRoutes {
-    epoch: u64,
-    n: usize,
-    rows: Mutex<BTreeMap<u32, ScopedRow>>,
-}
-
-#[derive(Debug)]
-struct ScopedRow {
-    dist: Vec<RouteCost>,
-    prev: Vec<Option<(NodeId, LinkId)>>,
-}
-
-impl ScopedRoutes {
-    /// Creates an empty scoped table bound to the network's current
-    /// epoch. No Dijkstra runs until the first query.
-    pub fn new(net: &Network) -> Self {
-        ScopedRoutes {
-            epoch: net.epoch(),
-            n: net.node_count(),
-            rows: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The network epoch this table reflects.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether the table still reflects `net` (same epoch).
-    pub fn is_current(&self, net: &Network) -> bool {
-        self.epoch == net.epoch() && self.n == net.node_count()
-    }
-
-    /// Number of source rows materialized so far. Deterministic for a
-    /// deterministic query sequence, so it doubles as the planner's
-    /// routing-work metric in stable-mode artifacts.
-    pub fn rows_built(&self) -> usize {
         self.rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+            .iter()
+            .enumerate()
+            .map(|(s, slot)| {
+                let Some(Row { dist, prev }) = slot.get() else {
+                    return false;
+                };
+                // A touched node's own tree is always re-run (cheap: a
+                // down source yields an all-UNREACHED row immediately).
+                touched_nodes.iter().any(|node| node.0 as usize == s)
+                    || touched_nodes.iter().any(|&node| {
+                        if net.node(node).up {
+                            // Restarted node: new routes can only enter
+                            // through an incident link, so the relaxation
+                            // test on them catches every improvement or
+                            // tie.
+                            net.neighbours(node)
+                                .iter()
+                                .any(|&(_, link_id)| link_improves(dist, link_id))
+                        } else {
+                            // Down node: only sources routing *through* it
+                            // need a re-run; leaves are patched in place.
+                            net.neighbours(node)
+                                .iter()
+                                .any(|&(v, _)| prev[v.0 as usize].is_some_and(|(p, _)| p == node))
+                        }
+                    })
+                    || touched_links
+                        .iter()
+                        .any(|&link_id| tree_uses(prev, link_id) || link_improves(dist, link_id))
+            })
+            .collect()
     }
 
-    /// The route from `from` to `to`, building `from`'s row on first
-    /// use. Identical to [`RouteTable::route`] for every pair.
-    pub fn route(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Route> {
+    /// Panics in debug builds when the table no longer reflects `net`:
+    /// the one staleness check every query runs.
+    fn check(&self, net: &Network) {
         debug_assert!(
             self.is_current(net),
-            "scoped routes are stale: built at epoch {}, network at {}",
+            "route table is stale: reflects epoch {} ({} nodes), network at epoch {} ({} nodes)",
             self.epoch,
-            net.epoch()
+            self.rows.len(),
+            net.epoch(),
+            net.node_count()
         );
-        let mut rows = self
-            .rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let row = Self::row(&mut rows, net, self.n, from);
+    }
+
+    /// `from`'s row, built on first use.
+    fn row(&self, net: &Network, from: NodeId) -> &Row {
+        self.rows[from.0 as usize].get_or_init(|| Row::build(net, from))
+    }
+
+    /// The route from `from` to `to`, or `None` when unreachable,
+    /// building `from`'s row on first use. Identical to
+    /// [`crate::shortest_route`] on `net`.
+    pub fn route(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Route> {
+        self.check(net);
+        let row = self.row(net, from);
         reconstruct(net, from, to, &row.dist, &row.prev)
     }
 
-    /// One-way propagation latency from `from` to `to` (`None` when
-    /// unreachable), building `from`'s row on first use.
+    /// Whether `to` is reachable from `from` (a node always reaches
+    /// itself without building a row).
+    pub fn reachable(&self, net: &Network, from: NodeId, to: NodeId) -> bool {
+        self.check(net);
+        from == to || self.row(net, from).dist[to.0 as usize].1 != u64::MAX
+    }
+
+    /// One-way propagation latency from `from` to `to` without
+    /// materializing the route; `None` when unreachable. A local query
+    /// builds no row.
     pub fn latency(&self, net: &Network, from: NodeId, to: NodeId) -> Option<SimDuration> {
+        self.check(net);
         if from == to {
             return Some(SimDuration::ZERO);
         }
-        let mut rows = self
-            .rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let row = Self::row(&mut rows, net, self.n, from);
-        let ns = row.dist[to.0 as usize].1;
+        let ns = self.row(net, from).dist[to.0 as usize].1;
         (ns != u64::MAX).then(|| SimDuration::from_nanos(ns))
-    }
-
-    /// Intermediate nodes (excluding endpoints) on the shortest path
-    /// from `from` to `to`, or `None` when unreachable. Cheaper than
-    /// materializing a full [`Route`] when only the corridor matters.
-    pub fn via_nodes(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        self.route(net, from, to).map(|r| r.via)
-    }
-
-    fn row<'a>(
-        rows: &'a mut BTreeMap<u32, ScopedRow>,
-        net: &Network,
-        n: usize,
-        from: NodeId,
-    ) -> &'a ScopedRow {
-        rows.entry(from.0).or_insert_with(|| {
-            let mut dist = vec![UNREACHED; n];
-            let mut prev = vec![None; n];
-            dijkstra_tree(net, from, None, &mut dist, &mut prev);
-            ScopedRow { dist, prev }
-        })
     }
 }
 
@@ -541,8 +456,8 @@ mod tests {
         for from in net.node_ids() {
             for to in net.node_ids() {
                 let route = table.route(&net, from, to).unwrap();
-                assert_eq!(table.latency(from, to), Some(route.latency));
-                assert!(table.reachable(from, to));
+                assert_eq!(table.latency(&net, from, to), Some(route.latency));
+                assert!(table.reachable(&net, from, to));
             }
         }
     }
@@ -556,16 +471,17 @@ mod tests {
         assert!(!table.is_current(&net));
         let rebuilt = RouteTable::build(&net);
         assert!(rebuilt.is_current(&net));
-        assert!(rebuilt.epoch() > table.epoch());
     }
 
     /// Asserts the repaired table answers every query identically to a
-    /// fresh full build.
+    /// fresh full build. Queries build the rows the table lacks, so the
+    /// check runs on a copy: the caller's table keeps its built set.
     fn assert_matches_full_build(table: &RouteTable, net: &Network, context: &str) {
         assert!(
             table.is_current(net),
             "{context}: repaired table must be current"
         );
+        let table = table.clone();
         let full = RouteTable::build(net);
         for from in net.node_ids() {
             for to in net.node_ids() {
@@ -575,11 +491,15 @@ mod tests {
                     "{context}: route {from}->{to} diverged"
                 );
                 assert_eq!(
-                    table.reachable(from, to),
-                    full.reachable(from, to),
+                    table.reachable(net, from, to),
+                    full.reachable(net, from, to),
                     "{context}"
                 );
-                assert_eq!(table.latency(from, to), full.latency(from, to), "{context}");
+                assert_eq!(
+                    table.latency(net, from, to),
+                    full.latency(net, from, to),
+                    "{context}"
+                );
             }
         }
     }
@@ -600,7 +520,6 @@ mod tests {
         let outcome = table.repair(&net, &[], &[ids[4]]);
         assert!(!outcome.full_rebuild);
         assert_eq!(outcome.sources_rebuilt, 1, "only the down node's own tree");
-        assert_eq!(table.generation(), 1);
         assert_matches_full_build(&table, &net, "leaf quarantine");
     }
 
@@ -620,7 +539,6 @@ mod tests {
         let outcome = table.repair(&net, &[], &[ids[2]]);
         assert!(outcome.full_rebuild);
         assert_eq!(outcome.sources_rebuilt, outcome.sources_total);
-        assert_eq!(table.generation(), 1, "fallback keeps the repair lineage");
         assert_matches_full_build(&table, &net, "heavy damage");
     }
 
@@ -637,7 +555,9 @@ mod tests {
 
     /// Property: across randomized seeded link-flap / crash / restart /
     /// latency-change sequences, `repair` produces a table identical to
-    /// a from-scratch `RouteTable::build` after every single event.
+    /// a from-scratch `RouteTable::build` after every single event —
+    /// both for a fully built table and for one with only a seeded
+    /// subset of rows built, whose built set repair never grows.
     #[test]
     fn repair_matches_full_build_across_random_flap_sequences() {
         use crate::brite::{hierarchical, FlatParams, HierParams};
@@ -655,6 +575,18 @@ mod tests {
             };
             let mut net = hierarchical(&mut rng, &params);
             let mut table = RouteTable::build(&net);
+            let mut partial = RouteTable::new(&net);
+            let mut pick = Rng::seed_from_u64(seed).derive("repair-partial");
+            for from in net.node_ids() {
+                if pick.next_below(3) == 0 {
+                    partial.route(&net, from, NodeId(0));
+                }
+            }
+            let partial_rows = partial.rows_built();
+            assert!(
+                partial_rows > 0 && partial_rows < net.node_count(),
+                "seed {seed}: a strict subset of rows"
+            );
             let config = ChaosConfig {
                 crashable_nodes: net.node_ids().map(|n| n.0).collect(),
                 flappable_links: (0..net.link_count() as u32).collect(),
@@ -695,38 +627,68 @@ mod tests {
                 }
                 table.repair(&net, &links, &nodes);
                 assert_matches_full_build(&table, &net, &format!("seed {seed} event {i}"));
+                partial.repair(&net, &links, &nodes);
+                let context = format!("seed {seed} event {i} (partial)");
+                assert_matches_full_build(&partial, &net, &context);
+                assert_eq!(partial.rows_built(), partial_rows, "{context}");
             }
         }
     }
 
     #[test]
-    fn scoped_routes_match_full_table_and_build_lazily() {
+    fn lazy_table_matches_full_table_and_builds_on_first_query() {
         let net = diamond();
-        let table = RouteTable::build(&net);
-        let scoped = ScopedRoutes::new(&net);
-        assert!(scoped.is_current(&net));
-        assert_eq!(scoped.rows_built(), 0, "no rows before the first query");
+        let full = RouteTable::build(&net);
+        assert_eq!(full.rows_built(), net.node_count());
+        let lazy = RouteTable::new(&net);
+        assert!(lazy.is_current(&net));
+        assert_eq!(lazy.rows_built(), 0, "no rows before the first query");
         for from in [NodeId(0), NodeId(2)] {
             for to in net.node_ids() {
-                assert_eq!(scoped.route(&net, from, to), table.route(&net, from, to));
-                assert_eq!(scoped.latency(&net, from, to), table.latency(from, to));
+                assert_eq!(lazy.route(&net, from, to), full.route(&net, from, to));
+                assert_eq!(lazy.latency(&net, from, to), full.latency(&net, from, to));
+                assert_eq!(
+                    lazy.reachable(&net, from, to),
+                    full.reachable(&net, from, to)
+                );
             }
         }
-        assert_eq!(scoped.rows_built(), 2, "only the queried sources");
-        // Local latency never materializes a row.
+        assert_eq!(lazy.rows_built(), 2, "only the queried sources");
+        // Local latency and reachability never build a row.
         assert_eq!(
-            scoped.latency(&net, NodeId(3), NodeId(3)),
+            lazy.latency(&net, NodeId(3), NodeId(3)),
             Some(SimDuration::ZERO)
         );
-        assert_eq!(scoped.rows_built(), 2);
+        assert!(lazy.reachable(&net, NodeId(3), NodeId(3)));
+        assert_eq!(lazy.rows_built(), 2);
     }
 
     #[test]
-    fn scoped_routes_detect_staleness() {
+    fn lazy_table_detects_staleness() {
         let mut net = diamond();
-        let scoped = ScopedRoutes::new(&net);
+        let lazy = RouteTable::new(&net);
         net.set_link_up(LinkId(0), false);
-        assert!(!scoped.is_current(&net));
+        assert!(!lazy.is_current(&net));
+    }
+
+    #[test]
+    fn refresh_reuses_repairs_or_builds() {
+        let mut net = diamond();
+        let (built, how) = RouteTable::refresh(None, &net, &[], &[]);
+        assert_eq!(how, Refresh::Built);
+        assert_eq!(built.rows_built(), net.node_count());
+        let (reused, how) = RouteTable::refresh(Some(Arc::clone(&built)), &net, &[], &[]);
+        assert_eq!(how, Refresh::Reused);
+        assert!(Arc::ptr_eq(&reused, &built));
+        net.set_link_up(LinkId(1), false);
+        let (repaired, how) =
+            RouteTable::refresh(Some(Arc::clone(&built)), &net, &[LinkId(1)], &[]);
+        assert!(matches!(how, Refresh::Repaired(_)));
+        assert!(
+            !built.is_current(&net),
+            "the carried table is left as it was"
+        );
+        assert_matches_full_build(&repaired, &net, "refresh");
     }
 
     #[test]
@@ -735,8 +697,8 @@ mod tests {
         let lonely = net.add_node("lonely", "s3", 1.0, Credentials::new());
         let table = RouteTable::build(&net);
         assert_eq!(table.route(&net, NodeId(0), lonely), None);
-        assert!(!table.reachable(NodeId(0), lonely));
-        assert_eq!(table.latency(NodeId(0), lonely), None);
-        assert!(table.reachable(lonely, lonely));
+        assert!(!table.reachable(&net, NodeId(0), lonely));
+        assert_eq!(table.latency(&net, NodeId(0), lonely), None);
+        assert!(table.reachable(&net, lonely, lonely));
     }
 }

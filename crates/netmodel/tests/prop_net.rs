@@ -171,7 +171,7 @@ fn route_table_agrees_with_shortest_route_on_brite_topologies() {
                 let tabled = table.route(&net, from, to);
                 assert_eq!(tabled, lazy, "seed {seed} {from:?}->{to:?}");
                 assert_eq!(
-                    table.latency(from, to),
+                    table.latency(&net, from, to),
                     lazy.as_ref().map(|r| r.latency),
                     "seed {seed} {from:?}->{to:?}"
                 );

@@ -23,8 +23,8 @@
 //!
 //! The union of those sets is the *composition universe*; the exact
 //! branch-and-bound search then runs restricted to it (same evaluator,
-//! same bounds, lazily built [`ScopedRoutes`] rows instead of a full
-//! route table). The composed objective seeds the shared incumbent for
+//! same bounds, the memo's lazily built [`RouteTable`] instead of an
+//! all-pairs one). The composed objective seeds the shared incumbent for
 //! an optional **refinement sweep** over the full network
 //! ([`HierConfig::refine`]): strict-improvement pruning means the sweep
 //! only surfaces *strictly better* plans, so when it returns nothing the
@@ -41,7 +41,7 @@ use crate::load::propagate_rates;
 use crate::mapping::Mapper;
 use crate::plan::{Objective, Plan, PlanError, PlanStats, ServiceRequest};
 use crate::planner::{Planner, Scope};
-use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
+use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, RouteTable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -86,7 +86,7 @@ struct RegionWork {
 }
 
 /// Shared subplan memo for hierarchical planning: the region map, the
-/// lazy route rows, and per-region segment shortlists. One memo is
+/// lazily built route table, and per-region segment shortlists. One memo is
 /// typically owned by the serving layer and shared by every concurrent
 /// connect and heal pass against the same network.
 #[derive(Debug, Default)]
@@ -97,7 +97,7 @@ pub struct HierMemo {
 #[derive(Debug, Default)]
 struct MemoInner {
     region_map: Option<Arc<RegionMap>>,
-    scoped: Option<Arc<ScopedRoutes>>,
+    routes: Option<Arc<RouteTable>>,
     /// (region index, component, request signature) → (region epoch at
     /// solve time, shortlist). Entries whose epoch no longer matches the
     /// live region are stale and recomputed on next use.
@@ -130,17 +130,17 @@ impl HierMemo {
         }
     }
 
-    /// The cached lazy route rows for the network's current epoch,
-    /// replaced wholesale on any epoch change (rebuilding a handful of
-    /// on-demand rows is cheaper than classifying damage).
-    pub fn scoped_routes(&self, net: &Network) -> Arc<ScopedRoutes> {
+    /// The cached lazily built route table for the network's current
+    /// epoch, replaced by an empty one on any epoch change (rebuilding a
+    /// handful of on-demand rows is cheaper than classifying damage).
+    pub fn scoped_routes(&self, net: &Network) -> Arc<RouteTable> {
         let mut inner = self.lock();
-        match &inner.scoped {
-            Some(scoped) if scoped.is_current(net) => Arc::clone(scoped),
+        match &inner.routes {
+            Some(routes) if routes.is_current(net) => Arc::clone(routes),
             _ => {
-                let scoped = Arc::new(ScopedRoutes::new(net));
-                inner.scoped = Some(Arc::clone(&scoped));
-                scoped
+                let routes = Arc::new(RouteTable::new(net));
+                inner.routes = Some(Arc::clone(&routes));
+                routes
             }
         }
     }
@@ -248,8 +248,8 @@ pub fn request_signature(request: &ServiceRequest) -> u64 {
 
 /// Route rows and per-region work one hierarchical solve accounts for.
 pub(crate) struct HierWork {
-    scoped: Arc<ScopedRoutes>,
-    /// `scoped.rows_built()` when the solve started: the memo's rows
+    routes: Arc<RouteTable>,
+    /// `routes.rows_built()` when the solve started: the memo's rows
     /// are shared by every plan of one network epoch, so this call is
     /// charged only the growth.
     rows_before: usize,
@@ -257,9 +257,9 @@ pub(crate) struct HierWork {
 }
 
 impl HierWork {
-    /// Scoped route rows built since the solve started.
+    /// Route rows built since the solve started.
     pub(crate) fn rows_built(&self) -> u64 {
-        (self.scoped.rows_built() - self.rows_before) as u64
+        (self.routes.rows_built() - self.rows_before) as u64
     }
 }
 
@@ -300,8 +300,8 @@ impl Planner {
         if map.len() < 2 {
             return None;
         }
-        let scoped = memo.scoped_routes(net);
-        let rows_before = scoped.rows_built();
+        let routes = memo.scoped_routes(net);
+        let rows_before = routes.rows_built();
         let sig = request_signature(request);
 
         // Anchors: nodes every candidate plan is tethered to.
@@ -318,8 +318,8 @@ impl Planner {
         let mut transit: BTreeSet<usize> = anchors.iter().map(|&a| map.region_of(a)).collect();
         for (i, &a) in anchors.iter().enumerate() {
             for &b in &anchors[i + 1..] {
-                if let Some(via) = scoped.via_nodes(net, a, b) {
-                    for node in via {
+                if let Some(route) = routes.route(net, a, b) {
+                    for node in route.via {
                         universe.insert(node);
                         transit.insert(map.region_of(node));
                     }
@@ -337,7 +337,7 @@ impl Planner {
         // the universe afterwards — `with_universe` must precede any
         // candidate query, and `component_fits` makes none.
         let mut scope = Scope {
-            scoped: Some(Arc::clone(&scoped)),
+            routes: Some(Arc::clone(&routes)),
             ..Scope::default()
         };
         let mapper = self.mapper(net, translator, request, &scope);
@@ -362,7 +362,7 @@ impl Planner {
                     continue;
                 }
                 let timer = ps_trace::WallTimer::start();
-                let shortlist = segment_shortlist(&mapper, net, &scoped, region, component);
+                let shortlist = segment_shortlist(&mapper, net, &routes, region, component);
                 work.wall_us += timer.elapsed_micros();
                 work.segments += 1;
                 stats.hier_segments += 1;
@@ -376,7 +376,7 @@ impl Planner {
         let mapper = mapper.with_universe(universe.clone());
         scope.universe = Some(universe);
         let work = HierWork {
-            scoped,
+            routes,
             rows_before,
             per_region,
         };
@@ -452,13 +452,13 @@ impl Planner {
 
 /// Computes one region's shortlist for `component`: every member host
 /// passing the condition-1 filter, ranked by proximity to the region's
-/// border gateways (minimum scoped latency to any of the first
+/// border gateways (minimum route latency to any of the first
 /// [`RANK_GATEWAYS`] gateways; ties and gateway-less regions fall back
 /// to node-id order), truncated to [`SHORTLIST`].
 fn segment_shortlist(
     mapper: &Mapper<'_>,
     net: &Network,
-    scoped: &ScopedRoutes,
+    routes: &RouteTable,
     region: &ps_net::Region,
     component: &str,
 ) -> Vec<NodeId> {
@@ -475,7 +475,7 @@ fn segment_shortlist(
                 .gateways
                 .iter()
                 .take(RANK_GATEWAYS)
-                .filter_map(|&gw| scoped.latency(net, gw, node))
+                .filter_map(|&gw| routes.latency(net, gw, node))
                 .map(|latency| latency.as_nanos())
                 .min()
                 .unwrap_or(0);

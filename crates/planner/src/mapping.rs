@@ -19,9 +19,7 @@ use crate::compat::{effective_provided, satisfies, transform_along};
 use crate::linkage::LinkageGraph;
 use crate::load::{propagate_rates, LoadModel, RatePlan};
 use crate::plan::{Objective, PlanEdge, ServiceRequest};
-use ps_net::{
-    shortest_route, Network, NodeId, PropertyTranslator, Route, RouteTable, ScopedRoutes,
-};
+use ps_net::{Network, NodeId, PropertyTranslator, Route, RouteTable};
 use ps_spec::condition::all_hold;
 use ps_spec::{Component, Environment, ResolvedBindings, ServiceSpec};
 use std::cell::RefCell;
@@ -92,7 +90,9 @@ type DescentArtifacts<'d> = (
     &'d RatePlan,
 );
 
-/// The shared mapping evaluator.
+/// The shared mapping evaluator. Every route it charges comes from one
+/// [`RouteTable`]: its own, built lazily, or a shared one attached with
+/// [`Mapper::with_route_table`].
 pub struct Mapper<'a> {
     /// The service specification.
     pub spec: &'a ServiceSpec,
@@ -109,13 +109,10 @@ pub struct Mapper<'a> {
     mid_envs: Vec<Environment>,
     route_cache: RouteCache,
     candidate_cache: CandidateCache,
-    /// Shared all-pairs route table; when absent, routes fall back to
-    /// on-demand Dijkstra (the pre-table behavior, kept reachable so the
-    /// bench harness can measure the baseline).
-    route_table: Option<Arc<RouteTable>>,
-    /// Lazily built per-source routing rows (the hierarchical planner's
-    /// substitute for a full table); consulted before `route_table`.
-    scoped_routes: Option<Arc<ScopedRoutes>>,
+    /// The route oracle: this mapper's own lazily built table unless
+    /// [`with_route_table`](Self::with_route_table) attached a shared
+    /// one.
+    routes: Arc<RouteTable>,
     /// When set, condition-1 candidate enumeration is restricted to
     /// these nodes instead of the whole network (the hierarchical
     /// planner's composition universe). Must stay fixed for the
@@ -169,31 +166,19 @@ impl<'a> Mapper<'a> {
             mid_envs,
             route_cache: RefCell::new(HashMap::new()),
             candidate_cache: RefCell::new(HashMap::new()),
-            route_table: None,
-            scoped_routes: None,
+            routes: Arc::new(RouteTable::new(net)),
             universe: None,
         }
     }
 
-    /// Switches route lookups onto a shared all-pairs [`RouteTable`]
-    /// (built once per network epoch, shared read-only across worker
-    /// threads) instead of per-mapper on-demand Dijkstra.
-    ///
-    /// The table must have been built from `self.net` at its current
-    /// epoch; results are bit-identical to the lazy path.
+    /// Answers route lookups from a shared [`RouteTable`] — the flat
+    /// planner's all-pairs table or the hierarchical memo's lazy one,
+    /// shared across worker threads and planning calls of one network
+    /// epoch — instead of this mapper's own table. Answers are
+    /// identical either way; only who pays for the rows differs.
     pub fn with_route_table(mut self, table: Arc<RouteTable>) -> Self {
         debug_assert!(table.is_current(self.net), "route table is stale");
-        self.route_table = Some(table);
-        self
-    }
-
-    /// Switches route lookups onto lazily built per-source rows
-    /// ([`ScopedRoutes`]) — bit-identical answers to a full table, but
-    /// only the sources actually queried pay for a Dijkstra run. Takes
-    /// precedence over an attached [`RouteTable`].
-    pub fn with_scoped_routes(mut self, routes: Arc<ScopedRoutes>) -> Self {
-        debug_assert!(routes.is_current(self.net), "scoped routes are stale");
-        self.scoped_routes = Some(routes);
+        self.routes = table;
         self
     }
 
@@ -235,20 +220,14 @@ impl<'a> Mapper<'a> {
     }
 
     /// Route (with environments) between two nodes; the materialized
-    /// `RouteInfo` is cached per mapper. The route itself comes from the
-    /// shared [`RouteTable`] when one was attached (a predecessor-chain
-    /// walk, no Dijkstra), or from an on-demand [`shortest_route`] run
-    /// otherwise.
+    /// `RouteInfo` is cached per mapper. The route itself is a
+    /// predecessor-chain walk in the mapper's [`RouteTable`], which runs
+    /// Dijkstra only for a source row not yet built.
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<Rc<RouteInfo>> {
         if let Some(hit) = self.route_cache.borrow().get(&(from.0, to.0)) {
             return hit.clone();
         }
-        let raw = match (&self.scoped_routes, &self.route_table) {
-            (Some(scoped), _) => scoped.route(self.net, from, to),
-            (None, Some(table)) => table.route(self.net, from, to),
-            (None, None) => shortest_route(self.net, from, to),
-        };
-        let computed = raw.map(|route| {
+        let computed = self.routes.route(self.net, from, to).map(|route| {
             Rc::new(RouteInfo {
                 envs: self.envs_along(&route),
                 route,

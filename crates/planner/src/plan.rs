@@ -335,8 +335,8 @@ pub struct PlanStats {
     /// refinement ran.
     pub hier_gap_micro: u64,
     /// Routing rows (one Dijkstra source each) built during this call:
-    /// the full or repaired route table on the flat path, the lazy
-    /// scoped rows on the hierarchical path — rows an earlier plan
+    /// the full or repaired route table on the flat path, the memo's
+    /// lazily built rows on the hierarchical path — rows an earlier plan
     /// already built into a shared memo are not charged again.
     pub route_rows_built: u64,
 }

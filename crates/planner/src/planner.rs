@@ -10,7 +10,7 @@ use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{
     Objective, Placement, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
 };
-use ps_net::{LinkId, Network, NodeId, PropertyTranslator, RouteTable, ScopedRoutes};
+use ps_net::{LinkId, Network, NodeId, PropertyTranslator, Refresh, RouteTable};
 use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
 use std::sync::Arc;
@@ -42,10 +42,12 @@ pub struct PlannerConfig {
     /// Worker threads for the graph sweep (0 or 1 = serial). Repair and
     /// refinement sweeps prune ties and always run serially.
     pub threads: usize,
-    /// Build one all-pairs [`RouteTable`] per flat planning call and
-    /// share it (read-only) across every mapper — including all parallel
-    /// sweep workers — instead of each mapper running its own on-demand
-    /// Dijkstras. On by default; turn off to measure the lazy baseline.
+    /// Build one all-pairs [`RouteTable`] per flat planning call (or
+    /// carry a repaired one, see [`RepairContext::prior_routes`]) and
+    /// share it across every mapper — including all parallel sweep
+    /// workers. Off, each mapper fills its own unshared lazy table,
+    /// whose rows are not charged to [`PlanStats`]: the baseline
+    /// `bench_planner` measures against. On by default.
     pub share_route_table: bool,
     /// Tracer receiving planning statistics (`planner.*` registry
     /// counters). Disabled by default; the planner emits no trace
@@ -166,11 +168,11 @@ impl Planner {
     ///
     /// 1. validate the pins and enumerate the linkage graphs once;
     /// 2. pick the candidate universe and its routes — the hierarchical
-    ///    composition universe with lazily built scoped rows when `memo`
-    ///    is given, [`PlannerConfig::hier`] is set and the fabric has at
-    ///    least two regions; otherwise the whole network with the shared
-    ///    route table (repaired from `repair`'s prior table when one is
-    ///    carried);
+    ///    composition universe with the memo's lazily built route table
+    ///    when `memo` is given, [`PlannerConfig::hier`] is set and the
+    ///    fabric has at least two regions; otherwise the whole network
+    ///    with the shared all-pairs table (carried over from `repair`'s
+    ///    prior table when there is one);
     /// 3. with `repair`, solve the old plan's graph with the surviving
     ///    placements fixed, seeding the incumbent;
     /// 4. sweep every graph (on [`PlannerConfig::threads`] workers when
@@ -221,7 +223,7 @@ impl Planner {
             Some((mapper, scope, work)) => (mapper, scope, Some(work)),
             None => {
                 let scope = Scope {
-                    table: self.flat_routes(net, repair, &mut stats),
+                    routes: self.flat_routes(net, repair, &mut stats),
                     ..Scope::default()
                 };
                 (self.mapper(net, translator, request, &scope), scope, None)
@@ -284,7 +286,7 @@ impl Planner {
                 // incumbent. When it surfaces nothing, the composed plan
                 // *is* the flat optimum.
                 let scope = Scope {
-                    table: self.flat_routes(net, repair, &mut stats),
+                    routes: self.flat_routes(net, repair, &mut stats),
                     ..Scope::default()
                 };
                 let full = self.mapper(net, translator, request, &scope);
@@ -345,12 +347,14 @@ impl Planner {
         Ok(plan)
     }
 
-    /// The flat path's shared route table, or `None` for lazy
-    /// per-mapper routing when [`PlannerConfig::share_route_table`] is
-    /// off. A repair reuses the previous epoch's table when it is still
-    /// current and otherwise repairs a copy of it (delta Dijkstra: the
-    /// dirty sets are exactly the damage since it was built, so only
-    /// affected sources re-run); everything else builds afresh.
+    /// The flat path's shared route table, or `None` for per-mapper
+    /// tables when [`PlannerConfig::share_route_table`] is off. A repair
+    /// carries the previous epoch's table through [`RouteTable::refresh`]
+    /// (reused when current, else a copy repaired from the dirty sets);
+    /// everything else builds afresh. Every row built or re-run is
+    /// charged to `stats`, so the deterministic work proxy
+    /// (`PlanStats::work_units`) charges flat and hierarchical planning
+    /// on the same scale.
     fn flat_routes(
         &self,
         net: &Network,
@@ -360,26 +364,26 @@ impl Planner {
         if !self.config.share_route_table {
             return None;
         }
-        let table = match repair.and_then(|ctx| Some((ctx, ctx.prior_routes.as_ref()?))) {
-            Some((_, prior)) if prior.is_current(net) => Arc::clone(prior),
-            Some((ctx, prior)) => {
-                let mut table = (**prior).clone();
-                let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
+        let (table, refresh) = match repair {
+            Some(ctx) => RouteTable::refresh(
+                ctx.prior_routes.clone(),
+                net,
+                &ctx.dirty_links,
+                &ctx.dirty_nodes,
+            ),
+            None => RouteTable::refresh(None, net, &[], &[]),
+        };
+        match refresh {
+            Refresh::Reused => {}
+            Refresh::Repaired(outcome) => {
                 stats.route_table_build_us += outcome.repair_micros;
                 stats.route_rows_built += outcome.sources_rebuilt as u64;
-                Arc::new(table)
             }
-            None => {
-                let table = Arc::new(RouteTable::build(net));
+            Refresh::Built => {
                 stats.route_table_build_us += table.build_micros();
-                // A full build runs one Dijkstra per source; recorded so
-                // the deterministic work proxy (`PlanStats::work_units`)
-                // charges flat and hierarchical planning on the same
-                // scale.
-                stats.route_rows_built += net.node_count() as u64;
-                table
+                stats.route_rows_built += table.rows_built() as u64;
             }
-        };
+        }
         Some(table)
     }
 
@@ -399,11 +403,8 @@ impl Planner {
             self.config.load_model,
             self.config.objective,
         );
-        if let Some(table) = &scope.table {
+        if let Some(table) = &scope.routes {
             mapper = mapper.with_route_table(Arc::clone(table));
-        }
-        if let Some(scoped) = &scope.scoped {
-            mapper = mapper.with_scoped_routes(Arc::clone(scoped));
         }
         if let Some(universe) = &scope.universe {
             mapper = mapper.with_universe(universe.clone());
@@ -649,14 +650,14 @@ fn surviving_placements(
         .collect()
 }
 
-/// Route source and candidate universe shared by every mapper of one
+/// Route table and candidate universe shared by every mapper of one
 /// planning call (the serial mapper and each parallel worker's).
 #[derive(Default)]
 pub(crate) struct Scope {
-    /// Shared all-pairs table (flat universe).
-    pub(crate) table: Option<Arc<RouteTable>>,
-    /// Lazily built per-source rows (hierarchical universe).
-    pub(crate) scoped: Option<Arc<ScopedRoutes>>,
+    /// The shared route table — all-pairs on the flat universe, the
+    /// memo's lazy one on the hierarchical universe; `None` gives each
+    /// mapper its own.
+    pub(crate) routes: Option<Arc<RouteTable>>,
     /// Hosts candidates are restricted to; `None` is the whole network.
     pub(crate) universe: Option<Vec<NodeId>>,
 }
